@@ -2,15 +2,17 @@
 //! JSON, without any serialization dependency.
 //!
 //! The emitter is a few string-building helpers over the shared
-//! [`crate::session`] measurements; [`validate_json`] is a minimal
-//! well-formedness checker so tests (and the `bench-json` subcommand) can
-//! verify what they wrote without a JSON crate.
+//! [`crate::session`] measurements; [`validate_json`] and the schema
+//! checks read documents back through [`osarch_cpu::json`], so tests (and
+//! the `bench-json` subcommand) verify what they wrote without a JSON
+//! crate.
 
 use crate::report::Table;
 use crate::session::shared as session;
 use osarch_analysis::{
     absint_rule_table, default_rules, AbsintReport, AnalysisReport, Severity, Verdict,
 };
+use osarch_cpu::json::Json;
 use osarch_cpu::{Arch, ExecStats, Phase};
 use osarch_kernel::{Primitive, PrimitiveTrace};
 use osarch_trace::{Category, CounterRegistry, Event, EventKind};
@@ -60,24 +62,9 @@ pub const CLUSTER_BENCH_SCHEMA: &str = "osarch-cluster-bench/1";
 pub use osarch_cpu::SPEC_SCHEMA;
 
 /// Escape a string for a JSON string literal (quotes not included).
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Re-exported from `osarch-cpu`, whose [`osarch_cpu::json`] module is
+/// the workspace's one JSON reader.
+pub use osarch_cpu::json::escape as json_escape;
 
 /// An `f64` as a JSON value token: the number for finite values, `null`
 /// for NaN and the infinities (JSON has no spelling for them, and a raw
@@ -188,17 +175,6 @@ pub fn measure_spec_json(name: &str, spec: &osarch_cpu::ArchSpec, primitive: Pri
         json_number(m.clock_mhz),
         stats_json(snake_name(primitive), m.stats(primitive), m.clock_mhz)
     )
-}
-
-/// Validate an `osarch-spec/1` document: well-formed JSON plus the full
-/// codec pass (schema tag, name charset, base resolution, field types
-/// and ranges). Returns the parsed `(name, spec)` on success so callers
-/// never validate and parse separately.
-pub fn validate_spec_json(doc: &str) -> Result<(String, osarch_cpu::ArchSpec), String> {
-    if let Err(offset) = validate_json(doc) {
-        return Err(format!("invalid JSON at byte {offset}"));
-    }
-    osarch_cpu::ArchSpec::from_json(doc)
 }
 
 /// One `osarch-loadgen` run, ready to serialize as `BENCH_serve.json`.
@@ -353,7 +329,8 @@ pub fn serve_bench_json(report: &ServeBenchReport) -> String {
     )
 }
 
-/// Every key an `osarch-serve-bench/2` document must carry. The loadgen
+/// Every path an `osarch-serve-bench/2` document must carry (dotted
+/// object keys, as [`validate_serve_bench`] reads them). The loadgen
 /// validates its own output against this list before writing it, so a
 /// report missing a column fails at the producer, not in a consumer.
 pub const SERVE_BENCH_REQUIRED_KEYS: &[&str] = &[
@@ -369,43 +346,30 @@ pub const SERVE_BENCH_REQUIRED_KEYS: &[&str] = &[
     "requests",
     "errors",
     "throughput_rps",
-    "latency_us",
-    "samples",
-    "sampled",
-    "p999",
-    "latency_hist",
-    "sub_bits",
-    "max_exp",
-    "buckets",
-    "cache",
-    "resilience",
-    "retries",
-    "giveups",
-    "breaker_opens",
-    "degraded",
-    "corrupt",
-    "error_classes",
-    "timeout",
-    "conn_reset",
-    "server_error",
-    "breaker_open",
+    "latency_us.samples",
+    "latency_us.sampled",
+    "latency_us.p999",
+    "latency_hist.sub_bits",
+    "latency_hist.max_exp",
+    "latency_hist.buckets",
+    "cache.hits",
+    "cache.misses",
+    "cache.coalesced",
+    "resilience.retries",
+    "resilience.giveups",
+    "resilience.breaker_opens",
+    "resilience.degraded",
+    "resilience.corrupt",
+    "resilience.error_classes.timeout",
+    "resilience.error_classes.conn_reset",
+    "resilience.error_classes.server_error",
+    "resilience.error_classes.breaker_open",
 ];
 
 /// Validate an `osarch-serve-bench/2` document: well-formed JSON *and*
 /// every required key present. Returns the first missing key on failure.
 pub fn validate_serve_bench(doc: &str) -> Result<(), String> {
-    if let Err(offset) = validate_json(doc) {
-        return Err(format!("invalid JSON at byte {offset}"));
-    }
-    if !doc.contains(&format!("\"schema\":\"{SERVE_BENCH_SCHEMA}\"")) {
-        return Err(format!("missing schema {SERVE_BENCH_SCHEMA:?}"));
-    }
-    for key in SERVE_BENCH_REQUIRED_KEYS {
-        if !doc.contains(&format!("\"{key}\":")) {
-            return Err(format!("missing required key {key:?}"));
-        }
-    }
-    Ok(())
+    validate_document(doc, SERVE_BENCH_SCHEMA, SERVE_BENCH_REQUIRED_KEYS)
 }
 
 /// One telemetry histogram as a JSON object: precomputed quantiles (so
@@ -540,66 +504,61 @@ pub fn metrics_snapshot_json(snap: &osarch_telemetry::MetricsSnapshot) -> String
     )
 }
 
-/// Every key an `osarch-metrics/1` document must carry. Producers
-/// validate before exposing; the CI chaos smoke validates the scrape.
+/// Every path an `osarch-metrics/1` document must carry (dotted object
+/// keys; a path through an array holds for each element) — at least
+/// every field `osarch top` reads. Producers validate before exposing;
+/// the CI chaos smoke validates the scrape.
 pub const METRICS_REQUIRED_KEYS: &[&str] = &[
     "schema",
     "uptime_us",
     "retention_s",
     "sample_every",
     "chains_sampled",
-    "hist_meta",
-    "sub_bits",
-    "max_exp",
-    "totals",
-    "requests",
-    "errors",
-    "deadline_exceeded",
-    "cache_hits",
-    "cache_misses",
-    "gauges",
-    "conns_open",
-    "conn_budget",
-    "workers",
-    "workers_live",
-    "compute_backlog",
-    "oldest_write_backlog_ms",
-    "cache_hit_ratio",
-    "shutting_down",
+    "hist_meta.sub_bits",
+    "hist_meta.max_exp",
+    "totals.requests",
+    "totals.errors",
+    "totals.deadline_exceeded",
+    "totals.degraded",
+    "totals.worker_respawns",
+    "totals.faults_injected",
+    "totals.cache_hits",
+    "totals.cache_misses",
+    "totals.swaps",
+    "totals.rollbacks",
+    "gauges.conns_open",
+    "gauges.conn_budget",
+    "gauges.workers",
+    "gauges.workers_live",
+    "gauges.compute_backlog",
+    "gauges.oldest_write_backlog_ms",
+    "gauges.cache_hit_ratio",
+    "gauges.registry_epoch",
+    "gauges.shutting_down",
     "window",
-    "ops",
-    "loop_lag_us",
+    "ops.op",
+    "ops.latency_us.count",
+    "ops.latency_us.p50",
+    "ops.latency_us.p99",
+    "ops.latency_us.p999",
+    "ops.latency_us.max",
+    "loop_lag_us.p50",
+    "loop_lag_us.p99",
+    "loop_lag_us.p999",
+    "loop_lag_us.buckets",
     "offload_queue_depth",
     "arena_buffers",
     "swap_latency_us",
-    "registry_epoch",
-    "swaps",
-    "rollbacks",
-    "p50",
-    "p99",
-    "p999",
-    "buckets",
 ];
 
 /// Validate an `osarch-metrics/1` document: well-formed JSON, the schema
 /// tag, and every required key present.
 pub fn validate_metrics_snapshot(doc: &str) -> Result<(), String> {
-    if let Err(offset) = validate_json(doc) {
-        return Err(format!("invalid JSON at byte {offset}"));
-    }
-    if !doc.contains(&format!("\"schema\":\"{METRICS_SCHEMA}\"")) {
-        return Err(format!("missing schema {METRICS_SCHEMA:?}"));
-    }
-    for key in METRICS_REQUIRED_KEYS {
-        if !doc.contains(&format!("\"{key}\":")) {
-            return Err(format!("missing required key {key:?}"));
-        }
-    }
-    Ok(())
+    validate_document(doc, METRICS_SCHEMA, METRICS_REQUIRED_KEYS)
 }
 
-/// Every key an `osarch-cluster/1` document (the `cluster` op reply's
-/// payload) must carry.
+/// Every path an `osarch-cluster/1` document (the `cluster` op reply's
+/// payload) must carry; `nodes.addr` holds for every membership row.
 pub const CLUSTER_REQUIRED_KEYS: &[&str] = &[
     "schema",
     "self",
@@ -614,26 +573,14 @@ pub const CLUSTER_REQUIRED_KEYS: &[&str] = &[
     "proxied",
     "redirected",
     "gossip_rounds",
-    "nodes",
-    "addr",
-    "status",
+    "nodes.addr",
+    "nodes.status",
 ];
 
 /// Validate an `osarch-cluster/1` document: well-formed JSON, the schema
 /// tag, and every required key present.
 pub fn validate_cluster_status(doc: &str) -> Result<(), String> {
-    if let Err(offset) = validate_json(doc) {
-        return Err(format!("invalid JSON at byte {offset}"));
-    }
-    if !doc.contains(&format!("\"schema\":\"{CLUSTER_SCHEMA}\"")) {
-        return Err(format!("missing schema {CLUSTER_SCHEMA:?}"));
-    }
-    for key in CLUSTER_REQUIRED_KEYS {
-        if !doc.contains(&format!("\"{key}\":")) {
-            return Err(format!("missing required key {key:?}"));
-        }
-    }
-    Ok(())
+    validate_document(doc, CLUSTER_SCHEMA, CLUSTER_REQUIRED_KEYS)
 }
 
 /// One multi-node load run, ready to serialize as `BENCH_cluster.json`:
@@ -712,9 +659,9 @@ pub fn cluster_bench_json(report: &ClusterBenchReport) -> String {
     )
 }
 
-/// Every key an `osarch-cluster-bench/1` document must carry. As with the
-/// serve bench, the loadgen validates before writing so a missing column
-/// fails at the producer.
+/// Every path an `osarch-cluster-bench/1` document must carry. As with
+/// the serve bench, the loadgen validates before writing so a missing
+/// column fails at the producer.
 pub const CLUSTER_BENCH_REQUIRED_KEYS: &[&str] = &[
     "schema",
     "workload",
@@ -729,29 +676,16 @@ pub const CLUSTER_BENCH_REQUIRED_KEYS: &[&str] = &[
     "throughput_rps",
     "baseline_rps",
     "speedup",
-    "latency_us",
-    "p50",
-    "p99",
-    "p999",
-    "per_node",
-    "addr",
+    "latency_us.p50",
+    "latency_us.p99",
+    "latency_us.p999",
+    "per_node.addr",
 ];
 
 /// Validate an `osarch-cluster-bench/1` document: well-formed JSON, the
 /// schema tag, and every required key present.
 pub fn validate_cluster_bench(doc: &str) -> Result<(), String> {
-    if let Err(offset) = validate_json(doc) {
-        return Err(format!("invalid JSON at byte {offset}"));
-    }
-    if !doc.contains(&format!("\"schema\":\"{CLUSTER_BENCH_SCHEMA}\"")) {
-        return Err(format!("missing schema {CLUSTER_BENCH_SCHEMA:?}"));
-    }
-    for key in CLUSTER_BENCH_REQUIRED_KEYS {
-        if !doc.contains(&format!("\"{key}\":")) {
-            return Err(format!("missing required key {key:?}"));
-        }
-    }
-    Ok(())
+    validate_document(doc, CLUSTER_BENCH_SCHEMA, CLUSTER_BENCH_REQUIRED_KEYS)
 }
 
 /// Sampled per-request span chains as a Chrome trace-event JSON document
@@ -1104,172 +1038,38 @@ pub fn counters_json(counters: &CounterRegistry) -> String {
     )
 }
 
-/// Check that `text` is one well-formed JSON value (plus trailing
+/// Check that `text` is one well-formed JSON value (plus surrounding
 /// whitespace). Returns the byte offset of the first error, or `Ok(())`.
 ///
-/// This is a structural validator, not a full parser: it accepts exactly
-/// the JSON grammar for objects, arrays, strings, numbers and literals,
-/// which is all the emitter above produces and all the tests need.
+/// A thin view of [`Json::parse`]: a duplicate object key, which has no
+/// byte offset of its own, reports the end of the text.
 pub fn validate_json(text: &str) -> Result<(), usize> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos == bytes.len() {
-        Ok(())
-    } else {
-        Err(pos)
+    Json::parse(text)
+        .map(drop)
+        .map_err(|e| e.offset().unwrap_or(text.len()))
+}
+
+/// Check that `doc` parses, carries the `schema` tag, and holds a value
+/// at every required path. A path is dotted object keys
+/// (`"totals.requests"`); where it crosses an array, every element must
+/// hold the rest of the path.
+fn validate_document(doc: &str, schema: &str, required: &[&str]) -> Result<(), String> {
+    let root = Json::parse(doc).map_err(|e| e.to_string())?;
+    if root.get("schema").and_then(Json::as_str) != Some(schema) {
+        return Err(format!("missing schema {schema:?}"));
+    }
+    match required.iter().find(|path| !has_path(&root, path)) {
+        Some(path) => Err(format!("missing required key {path:?}")),
+        None => Ok(()),
     }
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+fn has_path(value: &Json, path: &str) -> bool {
+    match (value, path.split_once('.')) {
+        (Json::Array(items), _) => items.iter().all(|item| has_path(item, path)),
+        (_, None) => value.get(path).is_some(),
+        (_, Some((head, rest))) => value.get(head).is_some_and(|v| has_path(v, rest)),
     }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), usize> {
-    if *pos < bytes.len() && bytes[*pos] == byte {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(*pos)
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<(), usize> {
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => parse_string(bytes, pos),
-        Some(b't') => parse_literal(bytes, pos, b"true"),
-        Some(b'f') => parse_literal(bytes, pos, b"false"),
-        Some(b'n') => parse_literal(bytes, pos, b"null"),
-        Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
-        _ => Err(*pos),
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, literal: &[u8]) -> Result<(), usize> {
-    if bytes[*pos..].starts_with(literal) {
-        *pos += literal.len();
-        Ok(())
-    } else {
-        Err(*pos)
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<(), usize> {
-    expect(bytes, pos, b'{')?;
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(bytes, pos);
-        parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        skip_ws(bytes, pos);
-        parse_value(bytes, pos)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(*pos),
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<(), usize> {
-    expect(bytes, pos, b'[')?;
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(bytes, pos);
-        parse_value(bytes, pos)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(*pos),
-        }
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<(), usize> {
-    expect(bytes, pos, b'"')?;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            if !bytes.get(*pos).is_some_and(u8::is_ascii_hexdigit) {
-                                return Err(*pos);
-                            }
-                            *pos += 1;
-                        }
-                    }
-                    _ => return Err(*pos),
-                }
-            }
-            0x00..=0x1f => return Err(*pos),
-            _ => *pos += 1,
-        }
-    }
-    Err(*pos)
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<(), usize> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits = |bytes: &[u8], pos: &mut usize| {
-        let begin = *pos;
-        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-        *pos > begin
-    };
-    if !digits(bytes, pos) {
-        return Err(start);
-    }
-    if bytes.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !digits(bytes, pos) {
-            return Err(*pos);
-        }
-    }
-    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if !digits(bytes, pos) {
-            return Err(*pos);
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1293,7 +1093,18 @@ mod tests {
         ] {
             assert_eq!(validate_json(good), Ok(()), "{good}");
         }
-        for bad in ["", "{", "[1,]", "{\"a\":}", "01x", "\"unterminated", "1 2"] {
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\":}",
+            "01x",
+            "\"unterminated",
+            "1 2",
+            "007",
+            "-01",
+            "25.",
+        ] {
             assert!(validate_json(bad).is_err(), "{bad}");
         }
     }
@@ -1482,6 +1293,15 @@ mod tests {
         // The validator flags a document missing a required section.
         let truncated = doc.replace("\"gauges\":", "\"ga_uges\":");
         assert!(validate_metrics_snapshot(&truncated).is_err());
+        // A key that also appears in another section does not stand in
+        // for the missing one: `window.requests` is not `totals.requests`.
+        let masked = doc.replace("\"totals\":{\"requests\":3,", "\"totals\":{");
+        assert_ne!(masked, doc);
+        assert!(doc.contains("\"window\":{\"requests\":"), "{doc}");
+        assert_eq!(
+            validate_metrics_snapshot(&masked),
+            Err("missing required key \"totals.requests\"".to_string())
+        );
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * [`Cpu`] — the deterministic executor that runs programs against an
 //!   [`osarch_mem::MemorySystem`] and reports instructions, cycles, and the
 //!   stall breakdowns the paper discusses;
-//! * [`WindowEngine`] — the SPARC register-window occupancy model.
+//! * [`WindowEngine`] — the SPARC register-window occupancy model;
+//! * [`json`] — the workspace's one JSON reader and string escaper.
 //!
 //! # Example
 //!
@@ -34,6 +35,7 @@
 
 mod arch;
 mod exec;
+pub mod json;
 mod microop;
 mod specjson;
 mod windows;

@@ -26,6 +26,7 @@
 //! framing and cleanup paths.
 
 use osarch_chaos::{ChaosController, ChaosRng, Failpoint};
+use osarch_cpu::json::Json;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -49,9 +50,6 @@ pub struct ClientConfig {
     pub breaker_cooldown: u32,
     /// Seed for the deterministic jitter stream.
     pub seed: u64,
-    /// Validate every reply as JSON (the soak's corruption check); when
-    /// off, only framing and id-echo are verified.
-    pub validate_replies: bool,
 }
 
 impl Default for ClientConfig {
@@ -64,7 +62,6 @@ impl Default for ClientConfig {
             breaker_threshold: 5,
             breaker_cooldown: 8,
             seed: 0x05a1c,
-            validate_replies: false,
         }
     }
 }
@@ -410,36 +407,35 @@ impl ResilientClient {
         }
     }
 
-    /// Verify one complete reply line: id echo, optional JSON validation,
+    /// Verify one complete reply line: well-formed JSON, id echo,
     /// envelope flags. Corruption (bad JSON, wrong id) is counted and
     /// reported as a connection-class error so the caller retries.
     fn verify(&mut self, raw: String, id_token: &str) -> Result<Reply, CallError> {
-        let id_needle = format!("\"id\":{id_token}");
-        if !raw.contains(&id_needle) {
+        let Ok(envelope) = Json::parse(&raw) else {
+            self.counters.corrupt += 1;
+            return Err(CallError {
+                class: ErrorClass::ConnReset,
+                detail: format!("reply is not well-formed JSON: {raw}"),
+            });
+        };
+        if envelope.get("id").map(ToString::to_string).as_deref() != Some(id_token) {
             self.counters.corrupt += 1;
             return Err(CallError {
                 class: ErrorClass::ConnReset,
                 detail: format!("reply does not echo id {id_token}: {raw}"),
             });
         }
-        if self.config.validate_replies && osarch_core::metrics::validate_json(&raw).is_err() {
-            self.counters.corrupt += 1;
-            return Err(CallError {
-                class: ErrorClass::ConnReset,
-                detail: format!("reply is not well-formed JSON: {raw}"),
-            });
-        }
-        let ok = raw.contains("\"ok\":true");
-        if !ok {
+        let flag = |key: &str| envelope.get(key).and_then(Json::as_bool) == Some(true);
+        if !flag("ok") {
             return Err(CallError {
                 class: ErrorClass::ServerError,
                 detail: raw,
             });
         }
         Ok(Reply {
-            ok,
-            cached: raw.contains("\"cached\":true"),
-            degraded: raw.contains("\"degraded\":true"),
+            ok: true,
+            cached: flag("cached"),
+            degraded: flag("degraded"),
             raw,
         })
     }
@@ -669,14 +665,12 @@ impl ClusterClient {
             match self.clients[index].call(line, id_token) {
                 Ok(reply) => return Ok(reply),
                 Err(error) => {
-                    if error.class == ErrorClass::ServerError
-                        && error.detail.contains("\"error\":\"not_owner\"")
-                    {
+                    if error.class == ErrorClass::ServerError {
                         // Topology drift: the server knows better — follow
                         // its stated owner once, then fall through to the
                         // normal failover order.
-                        if let Some(owner) = extract_field(&error.detail, "owner") {
-                            let owner_index = self.ring.nodes().iter().position(|n| n == owner);
+                        if let Some(owner) = redirect_owner(&error.detail) {
+                            let owner_index = self.ring.nodes().iter().position(|n| *n == owner);
                             if let Some(owner_index) = owner_index {
                                 self.routes.redirects_followed += 1;
                                 match self.clients[owner_index].call(line, id_token) {
@@ -695,14 +689,13 @@ impl ClusterClient {
     }
 }
 
-/// Pull a flat string field (`"name":"value"`) out of a raw envelope
-/// without a JSON parser. Addresses and keys never contain quotes or
-/// escapes, so the next `"` ends the value.
-fn extract_field<'a>(raw: &'a str, name: &str) -> Option<&'a str> {
-    let needle = format!("\"{name}\":\"");
-    let start = raw.find(&needle)? + needle.len();
-    let end = raw[start..].find('"')? + start;
-    Some(&raw[start..end])
+/// The `owner` a `not_owner` redirect envelope names, if `raw` is one.
+fn redirect_owner(raw: &str) -> Option<String> {
+    let envelope = Json::parse(raw).ok()?;
+    if envelope.get("error")?.as_str()? != "not_owner" {
+        return None;
+    }
+    envelope.get("owner")?.as_str().map(str::to_string)
 }
 
 #[cfg(test)]
@@ -813,13 +806,15 @@ mod tests {
                    \"error\":\"not_owner\",\"key\":\"table/2\",\
                    \"owner\":\"127.0.0.1:4102\",\
                    \"replicas\":\"127.0.0.1:4102,127.0.0.1:4103\"}";
-        assert_eq!(extract_field(raw, "owner"), Some("127.0.0.1:4102"));
-        assert_eq!(extract_field(raw, "key"), Some("table/2"));
-        assert_eq!(
-            extract_field(raw, "replicas"),
-            Some("127.0.0.1:4102,127.0.0.1:4103")
-        );
-        assert_eq!(extract_field(raw, "missing"), None);
+        assert_eq!(redirect_owner(raw).as_deref(), Some("127.0.0.1:4102"));
+        let envelope = Json::parse(raw).unwrap();
+        let field = |name: &str| envelope.get(name).and_then(Json::as_str);
+        assert_eq!(field("key"), Some("table/2"));
+        assert_eq!(field("replicas"), Some("127.0.0.1:4102,127.0.0.1:4103"));
+        assert_eq!(field("missing"), None);
+        // Any other server error names no owner to follow.
+        let other = raw.replace("not_owner", "overloaded");
+        assert_eq!(redirect_owner(&other), None);
     }
 
     #[test]

@@ -73,6 +73,7 @@
 //! # Quickstart
 //!
 //! ```
+//! use osarch_cpu::json::Json;
 //! use osarch_serve::{LoadgenConfig, Server, ServerConfig};
 //! use std::io::{BufRead, BufReader, Write};
 //!
@@ -81,7 +82,8 @@
 //! writeln!(conn, "{}", r#"{"op":"ping","id":1}"#).unwrap();
 //! let mut reply = String::new();
 //! BufReader::new(&conn).read_line(&mut reply).unwrap();
-//! assert!(reply.contains("\"pong\":true"));
+//! let reply = Json::parse(&reply).unwrap();
+//! assert_eq!(reply.at("result.pong").and_then(Json::as_bool), Some(true));
 //! server.stop();
 //! ```
 

@@ -39,6 +39,7 @@ use crate::server::{ClusterConfig, Server, ServerConfig, ServerHandle};
 use osarch_chaos::{ChaosConfig, ChaosController};
 use osarch_core::metrics::{ClusterBenchReport, ResilienceCounters, ServeBenchReport};
 use osarch_core::stats::LatencySummary;
+use osarch_cpu::json::Json;
 use osarch_cpu::Arch;
 use osarch_kernel::Primitive;
 use osarch_telemetry::Histogram;
@@ -450,14 +451,15 @@ fn drive_mux_paced(
                         break;
                     }
                     Ok(_) => {
-                        let id_token = format!("\"id\":{},", first_id + offset as u64);
-                        if !line.contains(&id_token) {
+                        let reply = Json::parse(&line).ok();
+                        let field = |key: &str| reply.as_ref().and_then(|r| r.get(key));
+                        if field("id").and_then(Json::as_u64) != Some(first_id + offset as u64) {
                             result.resilience.corrupt += 1;
                             result.errors += 1;
                             *sock = None;
                             break;
                         }
-                        if line.contains("\"ok\":true") {
+                        if field("ok").and_then(Json::as_bool) == Some(true) {
                             result.oks += 1;
                             result.latency.record(when.elapsed().as_micros() as u64);
                         } else {
@@ -496,9 +498,6 @@ fn drive_connection(
         addr,
         ClientConfig {
             seed,
-            // Full JSON validation per reply only under fault injection;
-            // the clean benchmark path stays cheap.
-            validate_replies: faulty,
             attempt_timeout: if faulty {
                 Duration::from_millis(500)
             } else {
@@ -576,28 +575,30 @@ fn query_stats(addr: &str) -> std::io::Result<CacheCounters> {
     writer.flush()?;
     let mut reply = String::new();
     reader.read_line(&mut reply)?;
-    Ok(CacheCounters {
-        hits: extract_counter(&reply, "cache_hits"),
-        misses: extract_counter(&reply, "cache_misses"),
-        coalesced: extract_counter(&reply, "cache_coalesced"),
-    })
+    Ok(stats_counters(&reply))
 }
 
-/// Scrape one named counter value out of a `stats` reply. The counters
-/// array is the deterministic `counters_json` format, so a plain
-/// substring scan is reliable without a JSON parser.
-fn extract_counter(reply: &str, name: &str) -> u64 {
-    let needle = format!("\"name\":\"{name}\",\"value\":");
-    reply
-        .find(&needle)
-        .and_then(|at| {
-            let digits: String = reply[at + needle.len()..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect();
-            digits.parse().ok()
-        })
-        .unwrap_or(0)
+/// Read the cache counters out of a `stats` reply: the payload's
+/// `counters` document lists `{name, value}` records; an absent counter
+/// reads as 0.
+fn stats_counters(reply: &str) -> CacheCounters {
+    let reply = Json::parse(reply).ok();
+    let records = reply
+        .as_ref()
+        .and_then(|r| r.at("result.counters.counters")?.as_array())
+        .unwrap_or_default();
+    let counter = |name: &str| {
+        records
+            .iter()
+            .find(|record| record.get("name").and_then(Json::as_str) == Some(name))
+            .and_then(|record| record.get("value")?.as_u64())
+            .unwrap_or(0)
+    };
+    CacheCounters {
+        hits: counter("cache_hits"),
+        misses: counter("cache_misses"),
+        coalesced: counter("cache_coalesced"),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1201,11 +1202,13 @@ mod tests {
 
     #[test]
     fn counter_extraction_reads_the_stats_shape() {
-        let reply = "{\"counters\":[{\"arch\":\"serve\",\"primitive\":\"request\",\
-                     \"phase\":\"total\",\"name\":\"cache_hits\",\"value\":41},\
-                     {\"name\":\"cache_misses\",\"value\":7}]}";
-        assert_eq!(extract_counter(reply, "cache_hits"), 41);
-        assert_eq!(extract_counter(reply, "cache_misses"), 7);
-        assert_eq!(extract_counter(reply, "absent"), 0);
+        let payload = crate::stats::ServeStats::new().stats_payload(41, 7, 0, 1, 1, 0);
+        let reply = crate::protocol::ok_envelope("1", false, 1, 9, &payload);
+        let counters = stats_counters(&reply);
+        assert_eq!(counters.hits, 41);
+        assert_eq!(counters.misses, 7);
+        assert_eq!(counters.coalesced, 0);
+        // Not a reply at all: every counter reads as absent.
+        assert_eq!(stats_counters("{\"counters\":[]}").hits, 0);
     }
 }

@@ -58,6 +58,7 @@
 
 use crate::registry::SpecSnapshot;
 use osarch_core::{metrics, names, session};
+use osarch_cpu::json::{self, Json};
 use osarch_cpu::Arch;
 use osarch_kernel::{trace_all, trace_primitive, Primitive};
 use osarch_trace::CounterRegistry;
@@ -340,38 +341,37 @@ pub struct Request {
     pub forwarded: bool,
 }
 
-/// A scalar field value from the flat request object.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Scalar {
-    Str(String),
-    /// Number / `true` / `false` / `null`, kept as the raw token.
-    Token(String),
-}
-
-impl Scalar {
-    fn as_raw_token(&self) -> String {
-        match self {
-            Scalar::Str(s) => format!("\"{}\"", metrics::json_escape(s)),
-            Scalar::Token(t) => t.clone(),
-        }
-    }
-}
-
 /// Parse one request line. Errors are one-line human-readable messages
 /// destined for the `error` field of the response envelope; the second
 /// tuple element is the echoed `id` token if one could be recovered.
+///
+/// A request is one flat JSON object: every field is a scalar by design,
+/// so a nested value is refused here even though the reader accepts it.
 pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
-    let fields = parse_flat_object(line).map_err(|e| (e, "null".to_string()))?;
-    let id = fields
+    let fields = match Json::parse(line) {
+        Ok(Json::Object(fields)) => Ok(fields),
+        Ok(_) => Err("request must be a JSON object".to_string()),
+        Err(json::Error::Syntax(_)) => Err("request is not well-formed JSON".to_string()),
+        Err(e) => Err(e.to_string()),
+    }
+    .map_err(|e| (e, "null".to_string()))?;
+    if let Some((key, _)) = fields
         .iter()
-        .find(|(k, _)| k == "id")
-        .map_or_else(|| "null".to_string(), |(_, v)| v.as_raw_token());
+        .find(|(_, v)| matches!(v, Json::Array(_) | Json::Object(_)))
+    {
+        return Err((
+            format!("field {key:?} must be a scalar, not a nested value"),
+            "null".to_string(),
+        ));
+    }
+    let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+    let id = field("id").map_or_else(|| "null".to_string(), ToString::to_string);
     let get_str = |key: &str| -> Result<Option<String>, (String, String)> {
-        match fields.iter().find(|(k, _)| k == key) {
+        match field(key) {
             None => Ok(None),
-            Some((_, Scalar::Str(s))) => Ok(Some(s.clone())),
-            Some((_, Scalar::Token(t))) => Err((
-                format!("field {key:?} must be a string, got {t}"),
+            Some(Json::String(s)) => Ok(Some(s.clone())),
+            Some(other) => Err((
+                format!("field {key:?} must be a string, got {other}"),
                 id.clone(),
             )),
         }
@@ -774,119 +774,6 @@ impl FrameBuf {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Flat-object JSON reader
-// ---------------------------------------------------------------------------
-
-/// Parse `line` as one flat JSON object of scalar fields. Nested objects
-/// and arrays are rejected: every request field is a scalar by design,
-/// and a flat grammar keeps the reader small enough to audit.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Scalar)>, String> {
-    if metrics::validate_json(line).is_err() {
-        return Err("request is not well-formed JSON".to_string());
-    }
-    let bytes = line.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    if bytes.get(pos) != Some(&b'{') {
-        return Err("request must be a JSON object".to_string());
-    }
-    pos += 1;
-    let mut fields = Vec::new();
-    skip_ws(bytes, &mut pos);
-    if bytes.get(pos) == Some(&b'}') {
-        return Ok(fields);
-    }
-    loop {
-        skip_ws(bytes, &mut pos);
-        let key = read_string(line, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        pos += 1; // ':' — guaranteed by the validator
-        skip_ws(bytes, &mut pos);
-        let value = match bytes.get(pos) {
-            Some(b'"') => Scalar::Str(read_string(line, &mut pos)?),
-            Some(b'{' | b'[') => {
-                return Err(format!(
-                    "field {key:?} must be a scalar, not a nested value"
-                ))
-            }
-            Some(_) => {
-                let start = pos;
-                while bytes
-                    .get(pos)
-                    .is_some_and(|b| !matches!(b, b',' | b'}' | b' ' | b'\t' | b'\n' | b'\r'))
-                {
-                    pos += 1;
-                }
-                Scalar::Token(line[start..pos].to_string())
-            }
-            None => return Err("truncated request".to_string()),
-        };
-        fields.push((key, value));
-        skip_ws(bytes, &mut pos);
-        match bytes.get(pos) {
-            Some(b',') => pos += 1,
-            _ => return Ok(fields), // '}' — guaranteed by the validator
-        }
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while bytes
-        .get(*pos)
-        .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-    {
-        *pos += 1;
-    }
-}
-
-/// Read a JSON string literal starting at `pos`, decoding escapes.
-fn read_string(line: &str, pos: &mut usize) -> Result<String, String> {
-    let bytes = line.as_bytes();
-    debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        let rest = &line[*pos..];
-        let mut chars = rest.char_indices();
-        match chars.next() {
-            None => return Err("unterminated string".to_string()),
-            Some((_, '"')) => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some((_, '\\')) => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = line
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "invalid \\u escape".to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err("invalid escape".to_string()),
-                }
-                *pos += 1;
-            }
-            Some((i, c)) => {
-                out.push(c);
-                *pos += i + c.len_utf8();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -992,6 +879,31 @@ mod tests {
         assert_eq!(r.id, "\"a\\\"b\"");
         let r = parse_request("{\"id\":true,\"op\":\"ping\"}").unwrap();
         assert_eq!(r.id, "true");
+        // Number tokens echo as written, not as re-rendered values.
+        let r = parse_request("{\"op\":\"ping\",\"id\":-1.50e+2}").unwrap();
+        assert_eq!(r.id, "-1.50e+2");
+        // A surrogate pair decodes to one character, never two U+FFFD.
+        let r = parse_request("{\"op\":\"ping\",\"id\":\"\\ud83d\\ude00\"}").unwrap();
+        assert_eq!(r.id, "\"\u{1f600}\"");
+    }
+
+    #[test]
+    fn duplicate_fields_are_rejected() {
+        let (err, _) = parse_request("{\"op\":\"ping\",\"op\":\"shutdown\"}").expect_err("dup");
+        assert_eq!(err, "duplicate field \"op\"");
+    }
+
+    #[test]
+    fn deep_nesting_fails_cleanly_on_a_default_stack() {
+        // A request-sized line of nothing but open brackets must come back
+        // as an error, not overflow the stack of an ordinary thread.
+        let line = "[".repeat(MAX_REQUEST_BYTES);
+        let outcome = std::thread::spawn(move || parse_request(&line))
+            .join()
+            .expect("parser thread survives");
+        let (err, id) = outcome.expect_err("nested line");
+        assert!(err.contains("nested deeper than"), "{err}");
+        assert_eq!(id, "null");
     }
 
     #[test]
@@ -1008,6 +920,9 @@ mod tests {
             ("{\"op\":\"table\",\"table\":\"table99\"}", "table1"),
             ("{\"op\":\"spans\",\"filter\":\"perfetto\"}", "chrome"),
             ("{\"op\":1}", "must be a string"),
+            ("{\"op\":\"ping\",\"id\":007}", "not well-formed"),
+            ("{\"op\":\"ping\",\"id\":-01}", "not well-formed"),
+            ("{\"op\":\"ping\",\"id\":25.}", "not well-formed"),
             ("{\"op\":{\"nested\":1}}", "scalar"),
             ("{}", "missing required field \"op\""),
             (

@@ -58,6 +58,7 @@ use crate::registry::{parse_spec_fetch, SpecRegistry, SpecSnapshot};
 use crate::stats::{op_slot, HealthGauges, ServeStats, OP_NAMES};
 use osarch_chaos::{ChaosController, Failpoint};
 use osarch_cluster::{Membership, Ring};
+use osarch_cpu::json::Json;
 use osarch_poll::{fd_of, new_poller, Event, Interest, Readiness, Token, WakeRx, Waker};
 use osarch_telemetry::{
     PendingTrace, TelemetryHub, TraceIdGen, COUNTER_DEGRADED, COUNTER_ERRORS, COUNTER_HITS,
@@ -1226,23 +1227,6 @@ fn exchange_line(
         .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 reply"))
 }
 
-/// Pull the `gossip` digest out of a peer's `health` reply without a
-/// JSON parser: digest strings contain no quotes or escapes by
-/// construction (`addr=inc/status;…`), so the next `"` ends it.
-fn extract_gossip(reply: &str) -> Option<&str> {
-    let start = reply.find("\"gossip\":\"")? + "\"gossip\":\"".len();
-    let end = reply[start..].find('"')? + start;
-    Some(&reply[start..end])
-}
-
-/// Pull the spec-registry digest (`{epoch}:{hash}`) out of a peer's
-/// `health` reply; same quote-scan, same no-escapes construction.
-fn extract_spec_digest(reply: &str) -> Option<&str> {
-    let start = reply.find("\"spec\":\"")? + "\"spec\":\"".len();
-    let end = reply[start..].find('"')? + start;
-    Some(&reply[start..end])
-}
-
 /// Cluster spec convergence, pull side: when a probed peer advertises a
 /// strictly newer registry epoch, fetch its spec set (`spec-fetch`) and
 /// adopt it at the *remote* epoch, so converged nodes share one digest.
@@ -1267,12 +1251,11 @@ fn maybe_pull_specs(shared: &Shared, target: &str, remote_digest: &str) {
     ) else {
         return;
     };
-    // Parse from the result payload onward: the envelope carries its own
-    // top-level `epoch` field, which must not shadow the payload's.
-    let Some(at) = reply.find("\"result\":") else {
+    // The payload's `epoch`, not the envelope's own top-level one.
+    let Ok(reply) = Json::parse(&reply) else {
         return;
     };
-    let Ok((epoch, docs)) = parse_spec_fetch(&reply[at..]) else {
+    let Some(Ok((epoch, docs))) = reply.get("result").map(parse_spec_fetch) else {
         return;
     };
     let Ok(snapshot) = SpecSnapshot::from_docs(&docs, epoch) else {
@@ -1314,16 +1297,22 @@ fn gossip_loop(shared: &Shared) {
         );
         match exchange_line(target, &line, GOSSIP_TIMEOUT, GOSSIP_TIMEOUT) {
             Ok(reply) => {
+                let reply = Json::parse(&reply).ok();
+                let result = |key: &str| {
+                    reply
+                        .as_ref()
+                        .and_then(|r| r.get("result")?.get(key)?.as_str())
+                };
                 {
                     let mut membership = lock(&cluster.membership);
                     membership.record_success(target);
-                    if let Some(incoming) = extract_gossip(&reply) {
+                    if let Some(incoming) = result("gossip") {
                         membership.merge_digest(incoming);
                     }
                 }
                 // Membership lock released: the spec pull dials the peer
                 // again and must not hold it across the exchange.
-                if let Some(remote_digest) = extract_spec_digest(&reply) {
+                if let Some(remote_digest) = result("spec") {
                     maybe_pull_specs(shared, target, remote_digest);
                 }
             }

@@ -42,6 +42,7 @@ use crate::registry::SpecSnapshot;
 use crate::server::{ClusterConfig, Server, ServerConfig, ServerHandle};
 use osarch_chaos::{ChaosConfig, ChaosController, ChaosRng, Failpoint};
 use osarch_core::metrics::ResilienceCounters;
+use osarch_cpu::json::Json;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -422,7 +423,6 @@ fn soak_client(
             backoff_max: Duration::from_millis(10),
             breaker_threshold: 8,
             breaker_cooldown: 4,
-            validate_replies: true,
         },
     )
     .with_chaos(Arc::clone(chaos));
@@ -666,7 +666,6 @@ pub fn run_cluster(config: &ClusterSoakConfig) -> std::io::Result<ClusterSoakRep
             attempt_timeout: Duration::from_secs(2),
             breaker_threshold: 2,
             breaker_cooldown: 4,
-            validate_replies: true,
             ..ClientConfig::default()
         },
     );
@@ -897,32 +896,18 @@ fn exchange_once(addr: SocketAddr, line: &str, timeout: Duration) -> std::io::Re
     Ok(reply)
 }
 
-/// Scan `doc` for `"key":<digits>`.
-fn field_u64(doc: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let digits: String = doc[at..].chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
+/// The `result` payload of a reply line, when the line parses and
+/// carries one.
+fn reply_result(reply: &str) -> Option<Json> {
+    Json::parse(reply).ok()?.get("result").cloned()
 }
 
-/// Scan `doc` for `"key":"<value>"` (no escapes — digests and names).
-fn field_str(doc: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let at = doc.find(&needle)? + needle.len();
-    doc[at..].split('"').next().map(str::to_string)
-}
-
-/// Scan `doc` for `"key":true|false`.
-fn field_bool(doc: &str, key: &str) -> Option<bool> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    if doc[at..].starts_with("true") {
-        Some(true)
-    } else if doc[at..].starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
+/// The `epoch` and `digest` of an admin reply's payload.
+fn epoch_and_digest(payload: &Json) -> Option<(u64, String)> {
+    Some((
+        payload.get("epoch")?.as_u64()?,
+        payload.get("digest")?.as_str()?.to_string(),
+    ))
 }
 
 /// A local mirror of the server's registry state-machine: the soak
@@ -1075,13 +1060,8 @@ fn spec_list(addr: SocketAddr, admin_id: &mut u64) -> Result<(u64, String), Stri
              \"id\":{admin_id}}}"
         );
         if let Ok(reply) = exchange_once(addr, &line, SWAP_IO_TIMEOUT) {
-            if let Some(at) = reply.find("\"result\":") {
-                let payload = &reply[at..];
-                if let (Some(epoch), Some(digest)) =
-                    (field_u64(payload, "epoch"), field_str(payload, "digest"))
-                {
-                    return Ok((epoch, digest));
-                }
+            if let Some(found) = reply_result(&reply).as_ref().and_then(epoch_and_digest) {
+                return Ok(found);
             }
         }
         std::thread::sleep(Duration::from_millis(10));
@@ -1104,7 +1084,6 @@ fn swap_load_client(addr: &str, seed: u64, stop: &AtomicBool) -> (u64, u64, Clie
             // Effectively no breaker: shedding would count as a drop.
             breaker_threshold: 1_000_000,
             breaker_cooldown: 1,
-            validate_replies: true,
         },
     );
     let keys = key_space();
@@ -1179,27 +1158,27 @@ fn swap_verifier(
             conn = None;
             continue;
         }
-        if !reply.contains(&format!("\"id\":{request_id},")) {
+        let reply = Json::parse(&reply).ok();
+        let field = |key: &str| reply.as_ref().and_then(|r| r.get(key));
+        if field("id").and_then(Json::as_u64) != Some(request_id) {
             mismatches += 1;
             conn = None;
             continue;
         }
-        if !reply.contains("\"ok\":true") {
+        if field("ok").and_then(Json::as_bool) != Some(true) {
             // `unknown spec` before the first activation (or while a
             // rollback has the hot spec out), deadline errors, … — all
             // legitimate, none epoch evidence.
             continue;
         }
-        if reply.contains("\"degraded\":true") {
+        if field("degraded").and_then(Json::as_bool) == Some(true) {
             degraded += 1;
         }
-        let (Some(epoch), Some(at)) = (field_u64(&reply, "epoch"), reply.find("\"result\":"))
+        let (Some(epoch), Some(payload)) = (field("epoch").and_then(Json::as_u64), field("result"))
         else {
             mismatches += 1;
             continue;
         };
-        let payload = reply[at + "\"result\":".len()..].trim_end();
-        let payload = payload.strip_suffix('}').unwrap_or(payload);
         samples.push((epoch, primitive, payload.to_string()));
     }
     (samples, degraded, mismatches)
@@ -1291,7 +1270,10 @@ pub fn run_swap(config: &SwapSoakConfig) -> std::io::Result<SwapSoakReport> {
                 osarch_core::metrics::json_escape(&doc)
             );
             match exchange_once(addr, &line, SWAP_IO_TIMEOUT) {
-                Ok(reply) if reply.contains("\"staged\":\"hot\"") => {
+                Ok(reply)
+                    if reply_result(&reply)
+                        .is_some_and(|r| r.get("staged").and_then(Json::as_str) == Some("hot")) =>
+                {
                     staged = true;
                     break;
                 }
@@ -1317,18 +1299,16 @@ pub fn run_swap(config: &SwapSoakConfig) -> std::io::Result<SwapSoakReport> {
             );
             match exchange_once(addr, &line, SWAP_IO_TIMEOUT) {
                 Ok(reply) => {
-                    let Some(at) = reply.find("\"result\":") else {
+                    let Some(payload) = reply_result(&reply) else {
                         violations.push(format!(
                             "ADMIN: spec-activate errored: {}",
                             reply.trim_end()
                         ));
                         break 'swaps;
                     };
-                    let payload = &reply[at..];
-                    let (Some(activated), Some(epoch), Some(digest)) = (
-                        field_bool(payload, "activated"),
-                        field_u64(payload, "epoch"),
-                        field_str(payload, "digest"),
+                    let (Some(activated), Some((epoch, digest))) = (
+                        payload.get("activated").and_then(Json::as_bool),
+                        epoch_and_digest(&payload),
                     ) else {
                         violations.push(format!(
                             "ADMIN: spec-activate reply unparsable: {}",
@@ -1411,11 +1391,8 @@ pub fn run_swap(config: &SwapSoakConfig) -> std::io::Result<SwapSoakReport> {
                 );
                 match exchange_once(addr, &line, SWAP_IO_TIMEOUT) {
                     Ok(reply) => {
-                        if let Some(at) = reply.find("\"result\":") {
-                            let payload = &reply[at..];
-                            if let (Some(epoch), Some(digest)) =
-                                (field_u64(payload, "epoch"), field_str(payload, "digest"))
-                            {
+                        if let Some(payload) = reply_result(&reply) {
+                            if let Some((epoch, digest)) = epoch_and_digest(&payload) {
                                 let model_digest = model.apply_explicit_rollback(epoch);
                                 if model_digest == digest {
                                     transcript.push(format!(
@@ -1805,7 +1782,6 @@ pub fn run_swap_cluster(config: &SwapClusterConfig) -> std::io::Result<SwapClust
             attempt_timeout: Duration::from_secs(2),
             breaker_threshold: 2,
             breaker_cooldown: 4,
-            validate_replies: true,
             ..ClientConfig::default()
         },
     );
@@ -1843,11 +1819,8 @@ pub fn run_swap_cluster(config: &SwapClusterConfig) -> std::io::Result<SwapClust
                 std::thread::sleep(Duration::from_millis(10));
                 continue;
             };
-            let payload = reply.find("\"result\":").map(|at| &reply[at..]);
-            let (Some(epoch), Some(digest)) = (
-                payload.and_then(|p| field_u64(p, "epoch")),
-                payload.and_then(|p| field_str(p, "digest")),
-            ) else {
+            let Some((epoch, digest)) = reply_result(&reply).as_ref().and_then(epoch_and_digest)
+            else {
                 violations.push(format!(
                     "ADMIN: spec-activate errored: {}",
                     reply.trim_end()

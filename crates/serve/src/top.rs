@@ -9,10 +9,9 @@
 //! control codes used are cursor-home and clear-screen, so the output
 //! also pipes cleanly with `--once`.
 //!
-//! The snapshot is scraped with the same deterministic substring scans
-//! the loadgen uses on `stats` replies: the emitter in `core/metrics`
-//! writes every key in a fixed order, so a JSON parser would buy
-//! nothing but a dependency.
+//! The snapshot is read as typed data through [`osarch_cpu::json`], by
+//! path (`totals.requests`, `gauges.conn_budget`, …), so a key that also
+//! appears in another section can never stand in for a missing one.
 //!
 //! A failed scrape does not kill the dashboard: cluster soaks kill and
 //! respawn whole nodes, so the watch loop retries with exponential
@@ -20,6 +19,7 @@
 //! has been unreachable for `--retry-secs` (default 120, `0` restores
 //! fail-fast). `--once` always fails fast — it exists for scripts.
 
+use osarch_cpu::json::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -87,87 +87,57 @@ pub struct OpRow {
     pub max: u64,
 }
 
-/// Scrape one unsigned integer that follows `"key":` in `doc`.
-fn num(doc: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\":");
-    doc.find(&needle)
-        .and_then(|at| {
-            let digits: String = doc[at + needle.len()..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect();
-            digits.parse().ok()
-        })
-        .unwrap_or(0)
-}
-
-/// Scrape one decimal number (integer or fractional) after `"key":`.
-fn float(doc: &str, key: &str) -> f64 {
-    let needle = format!("\"{key}\":");
-    doc.find(&needle)
-        .and_then(|at| {
-            let digits: String = doc[at + needle.len()..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-                .collect();
-            digits.parse().ok()
-        })
-        .unwrap_or(0.0)
-}
-
-/// Slice `doc` from the first occurrence of `marker` (empty if absent),
-/// so scans for repeated keys land inside the right object.
-fn section<'doc>(doc: &'doc str, marker: &str) -> &'doc str {
-    doc.find(marker).map_or("", |at| &doc[at..])
-}
-
 /// Parse the dashboard's fields out of a `metrics` snapshot document
-/// (either the raw scrape body or the payload inside a reply envelope).
+/// (either the raw scrape body or a reply envelope around it). Absent
+/// fields, or a document that does not parse, read as zero.
 #[must_use]
 pub fn parse_snapshot(doc: &str) -> TopSnapshot {
-    let totals = section(doc, "\"totals\":");
-    let gauges = section(doc, "\"gauges\":");
-    let lag = section(doc, "\"loop_lag_us\":");
-    let mut ops = Vec::new();
-    // Each per-op row opens with `{"op":"name",` — fixed emitter order.
-    let mut rest = section(doc, "\"ops\":[");
-    while let Some(at) = rest.find("{\"op\":\"") {
-        rest = &rest[at + 7..];
-        let Some(end) = rest.find('"') else { break };
-        let op = rest[..end].to_string();
-        let row = match rest.find("{\"op\":\"") {
-            Some(next) => &rest[..next],
-            None => rest,
-        };
-        ops.push(OpRow {
-            op,
-            count: num(row, "count"),
-            p50: num(row, "p50"),
-            p99: num(row, "p99"),
-            p999: num(row, "p999"),
-            max: num(row, "max"),
-        });
-    }
+    let Ok(root) = Json::parse(doc) else {
+        return TopSnapshot::default();
+    };
+    let snap = root.get("result").unwrap_or(&root);
+    let num = |value: &Json, path: &str| value.at(path).and_then(Json::as_u64).unwrap_or(0);
+    let ops = snap
+        .get("ops")
+        .and_then(Json::as_array)
+        .unwrap_or_default()
+        .iter()
+        .map(|row| OpRow {
+            op: row
+                .get("op")
+                .and_then(Json::as_str)
+                .unwrap_or_default()
+                .to_string(),
+            count: num(row, "latency_us.count"),
+            p50: num(row, "latency_us.p50"),
+            p99: num(row, "latency_us.p99"),
+            p999: num(row, "latency_us.p999"),
+            max: num(row, "latency_us.max"),
+        })
+        .collect();
     TopSnapshot {
-        uptime_us: num(doc, "uptime_us"),
-        sample_every: num(doc, "sample_every"),
-        requests: num(totals, "requests"),
-        errors: num(totals, "errors"),
-        degraded: num(totals, "degraded"),
-        worker_respawns: num(totals, "worker_respawns"),
-        faults_injected: num(totals, "faults_injected"),
-        swaps: num(totals, "swaps"),
-        rollbacks: num(totals, "rollbacks"),
-        registry_epoch: num(gauges, "registry_epoch"),
-        cache_hit_ratio: float(gauges, "cache_hit_ratio"),
-        conns_open: num(gauges, "conns_open"),
-        conn_budget: num(gauges, "conn_budget"),
-        workers: num(gauges, "workers"),
-        workers_live: num(gauges, "workers_live"),
-        compute_backlog: num(gauges, "compute_backlog"),
-        oldest_write_backlog_ms: num(gauges, "oldest_write_backlog_ms"),
-        shutting_down: section(gauges, "\"shutting_down\":").starts_with("\"shutting_down\":true"),
-        loop_lag_p99_us: num(lag, "p99"),
+        uptime_us: num(snap, "uptime_us"),
+        sample_every: num(snap, "sample_every"),
+        requests: num(snap, "totals.requests"),
+        errors: num(snap, "totals.errors"),
+        degraded: num(snap, "totals.degraded"),
+        worker_respawns: num(snap, "totals.worker_respawns"),
+        faults_injected: num(snap, "totals.faults_injected"),
+        swaps: num(snap, "totals.swaps"),
+        rollbacks: num(snap, "totals.rollbacks"),
+        registry_epoch: num(snap, "gauges.registry_epoch"),
+        cache_hit_ratio: snap
+            .at("gauges.cache_hit_ratio")
+            .and_then(Json::as_f64)
+            .unwrap_or(0.0),
+        conns_open: num(snap, "gauges.conns_open"),
+        conn_budget: num(snap, "gauges.conn_budget"),
+        workers: num(snap, "gauges.workers"),
+        workers_live: num(snap, "gauges.workers_live"),
+        compute_backlog: num(snap, "gauges.compute_backlog"),
+        oldest_write_backlog_ms: num(snap, "gauges.oldest_write_backlog_ms"),
+        shutting_down: snap.at("gauges.shutting_down").and_then(Json::as_bool) == Some(true),
+        loop_lag_p99_us: num(snap, "loop_lag_us.p99"),
         ops,
     }
 }
@@ -353,7 +323,9 @@ pub fn cli(args: &[String], prog: &str) -> Result<std::process::ExitCode, String
             prev = None;
             backoff = BACKOFF_START;
         }
-        if !reply.contains("\"ok\":true") {
+        let ok =
+            Json::parse(&reply).is_ok_and(|r| r.get("ok").and_then(Json::as_bool) == Some(true));
+        if !ok {
             eprintln!(
                 "osarch top: {addr} rejected the metrics query: {}",
                 reply.trim()

@@ -9,7 +9,13 @@
 //! all of them untouched. When a change to an emitter is intentional,
 //! regenerate the files with
 //! `cargo test --test json_golden -- --ignored regenerate_goldens`.
+//!
+//! The same documents pin the reader: parsing any of them, bare or inside
+//! any reply envelope, and re-emitting it with `Display` must give back
+//! the emitter's bytes.
 
+use osarch::cpu::json::{self, Json};
+use osarch::serve::protocol;
 use osarch::{metrics, session, AbsintAnalyzer, Analyzer, Arch};
 
 fn bench() -> String {
@@ -48,7 +54,9 @@ fn absints() -> String {
 }
 
 /// `(file under tests/golden/, snapshot, emitter)`.
-const GOLDENS: [(&str, &str, fn() -> String); 5] = [
+type Golden = (&'static str, &'static str, fn() -> String);
+
+const GOLDENS: [Golden; 5] = [
     ("bench.json", include_str!("golden/bench.json"), bench),
     ("tables.json", include_str!("golden/tables.json"), tables),
     ("specs.jsonl", include_str!("golden/specs.jsonl"), specs),
@@ -85,4 +93,60 @@ fn regenerate_goldens() {
     for (file, _, emit) in GOLDENS {
         std::fs::write(dir.join(file), emit()).expect("tests/golden is writable");
     }
+}
+
+/// Every golden document, one per line, without its trailing newline.
+fn golden_documents() -> impl Iterator<Item = &'static str> {
+    GOLDENS.iter().flat_map(|(_, golden, _)| golden.lines())
+}
+
+fn reparsed(doc: &str) -> String {
+    Json::parse(doc)
+        .unwrap_or_else(|e| panic!("{e}: {doc}"))
+        .to_string()
+}
+
+#[test]
+fn emit_parse_display_is_the_identity_on_every_golden() {
+    for doc in golden_documents() {
+        assert_eq!(reparsed(doc), doc);
+    }
+}
+
+#[test]
+fn emit_parse_display_is_the_identity_inside_every_envelope() {
+    for doc in golden_documents() {
+        for id in ["null", "7", "-1.50e+2", "true", "\"a\\\"b\""] {
+            for envelope in [
+                protocol::ok_envelope(id, false, 3, 812, doc),
+                protocol::degraded_envelope(id, 3, 812, doc, "panicked: \"boom\"\n"),
+                protocol::err_envelope(id, doc),
+                protocol::not_owner_envelope(id, doc, "127.0.0.1:4001", &["127.0.0.1:4002"]),
+            ] {
+                assert_eq!(reparsed(&envelope), envelope);
+            }
+        }
+    }
+}
+
+fn depth(value: &Json) -> usize {
+    match value {
+        Json::Array(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+        Json::Object(members) => 1 + members.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
+#[test]
+fn the_depth_bound_leaves_headroom_over_every_written_document() {
+    let deepest = golden_documents()
+        .map(|doc| depth(&Json::parse(doc).expect("golden parses")))
+        .max()
+        .expect("goldens exist");
+    assert_eq!(
+        deepest, 7,
+        "the deepest emitted document changed; revisit json::MAX_DEPTH"
+    );
+    // A reply envelope adds one level; the bound keeps twice the room.
+    assert!(json::MAX_DEPTH >= 2 * deepest, "{}", json::MAX_DEPTH);
 }
