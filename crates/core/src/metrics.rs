@@ -12,7 +12,7 @@ use crate::session::shared as session;
 use osarch_analysis::{
     absint_rule_table, default_rules, AbsintReport, AnalysisReport, Severity, Verdict,
 };
-use osarch_cpu::json::Json;
+use osarch_cpu::json::{self, Json};
 use osarch_cpu::{Arch, ExecStats, Phase};
 use osarch_kernel::{Primitive, PrimitiveTrace};
 use osarch_trace::{Category, CounterRegistry, Event, EventKind};
@@ -1044,9 +1044,10 @@ pub fn counters_json(counters: &CounterRegistry) -> String {
 /// A thin view of [`Json::parse`]: a duplicate object key, which has no
 /// byte offset of its own, reports the end of the text.
 pub fn validate_json(text: &str) -> Result<(), usize> {
-    Json::parse(text)
-        .map(drop)
-        .map_err(|e| e.offset().unwrap_or(text.len()))
+    Json::parse(text).map(drop).map_err(|e| match e {
+        json::Error::Syntax(at) | json::Error::TooDeep(at) => at,
+        json::Error::DuplicateKey(_) => text.len(),
+    })
 }
 
 /// Check that `doc` parses, carries the `schema` tag, and holds a value
@@ -1064,7 +1065,7 @@ fn validate_document(doc: &str, schema: &str, required: &[&str]) -> Result<(), S
     }
 }
 
-fn has_path(value: &Json, path: &str) -> bool {
+fn has_path(value: &Json<'_>, path: &str) -> bool {
     match (value, path.split_once('.')) {
         (Json::Array(items), _) => items.iter().all(|item| has_path(item, path)),
         (_, None) => value.get(path).is_some(),
@@ -1104,6 +1105,7 @@ mod tests {
             "007",
             "-01",
             "25.",
+            "{\"a\":1,\"a\":2}",
         ] {
             assert!(validate_json(bad).is_err(), "{bad}");
         }

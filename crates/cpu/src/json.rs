@@ -6,16 +6,19 @@
 //! 8259 values, no leading zeros, surrogate pairs decoded, duplicate
 //! object keys rejected, and nesting bounded by [`MAX_DEPTH`].
 //!
-//! Numbers keep their source token. Re-emitting a parsed document with
-//! `Display` therefore reproduces the emitters' output byte for byte —
-//! which is what lets a server echo a request `id` verbatim and a client
-//! compare a reply's `result` with a direct emitter call — and
+//! A value borrows from the text it was parsed from: numbers are their
+//! source tokens and strings without escapes are slices, so parsing
+//! allocates little beyond the arrays and objects. Re-emitting a parsed
+//! document with `Display` reproduces the emitters' output byte for byte
+//! — which is what lets a server echo a request `id` verbatim and a
+//! client compare a reply's `result` with a direct emitter call — and
 //! [`Json::as_u64`] / [`Json::as_f64`] convert on demand.
 //!
 //! The module lives in `osarch-cpu` because the spec codec
 //! ([`crate::ArchSpec::from_json`]) is its first consumer and every
 //! other crate already depends on this one.
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
 /// Deepest nesting [`Json::parse`] accepts, counting the outermost
@@ -27,21 +30,21 @@ use std::fmt::{self, Write as _};
 /// after a few bytes.
 pub const MAX_DEPTH: usize = 16;
 
-/// One parsed JSON value.
+/// One parsed JSON value, borrowing from the parsed text.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub enum Json<'a> {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number, kept as its source token.
-    Number(String),
+    /// A number: its source token.
+    Number(&'a str),
     /// A string, escapes decoded.
-    String(String),
+    String(Cow<'a, str>),
     /// An array.
-    Array(Vec<Json>),
+    Array(Vec<Json<'a>>),
     /// An object's members in document order; keys are unique.
-    Object(Vec<(String, Json)>),
+    Object(Vec<(Cow<'a, str>, Json<'a>)>),
 }
 
 /// Why [`Json::parse`] refused its input.
@@ -54,17 +57,6 @@ pub enum Error {
     TooDeep(usize),
     /// An object repeats a key.
     DuplicateKey(String),
-}
-
-impl Error {
-    /// The byte offset the error was detected at, where there is one.
-    #[must_use]
-    pub fn offset(&self) -> Option<usize> {
-        match self {
-            Error::Syntax(at) | Error::TooDeep(at) => Some(*at),
-            Error::DuplicateKey(_) => None,
-        }
-    }
 }
 
 impl fmt::Display for Error {
@@ -81,7 +73,7 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl Json {
+impl<'a> Json<'a> {
     /// Parse `text` as exactly one JSON value, surrounded only by
     /// whitespace.
     ///
@@ -89,7 +81,7 @@ impl Json {
     ///
     /// Returns where the text stops being JSON, where it nests deeper
     /// than [`MAX_DEPTH`], or which object key it repeats.
-    pub fn parse(text: &str) -> Result<Json, Error> {
+    pub fn parse(text: &'a str) -> Result<Json<'a>, Error> {
         let mut parser = Parser {
             text,
             bytes: text.as_bytes(),
@@ -107,7 +99,7 @@ impl Json {
 
     /// The member `key` of an object (`None` for any other value).
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub fn get(&self, key: &str) -> Option<&Json<'a>> {
         match self {
             Json::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -116,7 +108,7 @@ impl Json {
 
     /// The value at a dotted path of object keys (`"totals.requests"`).
     #[must_use]
-    pub fn at(&self, path: &str) -> Option<&Json> {
+    pub fn at(&self, path: &str) -> Option<&Json<'a>> {
         path.split('.').try_fold(self, Json::get)
     }
 
@@ -158,7 +150,7 @@ impl Json {
 
     /// The elements, if this is an array.
     #[must_use]
-    pub fn as_array(&self) -> Option<&[Json]> {
+    pub fn as_array(&self) -> Option<&[Json<'a>]> {
         match self {
             Json::Array(items) => Some(items),
             _ => None,
@@ -181,7 +173,7 @@ impl Json {
 
 /// Compact JSON: no whitespace, strings through [`escape`], numbers as
 /// their source tokens.
-impl fmt::Display for Json {
+impl fmt::Display for Json<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Json::Null => f.write_str("null"),
@@ -248,15 +240,15 @@ fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
 /// `n log n`, not `n²`.
 const PAIRWISE_KEYS: usize = 16;
 
-fn duplicate_key(members: &[(String, Json)]) -> Option<&str> {
+fn duplicate_key<'m>(members: &'m [(Cow<'_, str>, Json<'_>)]) -> Option<&'m str> {
     if members.len() <= PAIRWISE_KEYS {
         return members
             .iter()
             .enumerate()
             .find(|(i, (key, _))| members[..*i].iter().any(|(k, _)| k == key))
-            .map(|(_, (key, _))| key.as_str());
+            .map(|(_, (key, _))| key.as_ref());
     }
-    let mut keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+    let mut keys: Vec<&str> = members.iter().map(|(k, _)| k.as_ref()).collect();
     keys.sort_unstable();
     keys.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
 }
@@ -267,7 +259,7 @@ struct Parser<'a> {
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
         while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
@@ -283,7 +275,7 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, Error> {
+    fn value(&mut self, depth: usize) -> Result<Json<'a>, Error> {
         match self.bytes.get(self.pos) {
             Some(b'{' | b'[') if depth > MAX_DEPTH => Err(Error::TooDeep(self.pos)),
             Some(b'{') => self.object(depth),
@@ -297,7 +289,7 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, Error> {
+    fn literal(&mut self, word: &str, value: Json<'a>) -> Result<Json<'a>, Error> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
@@ -306,7 +298,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, Error> {
+    fn object(&mut self, depth: usize) -> Result<Json<'a>, Error> {
         self.eat(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -338,7 +330,7 @@ impl Parser<'_> {
         Ok(Json::Object(members))
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, Error> {
+    fn array(&mut self, depth: usize) -> Result<Json<'a>, Error> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -361,21 +353,30 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, Error> {
+    /// Read a string literal: a slice of the text when it holds no
+    /// escape, decoded into an owned string otherwise.
+    fn string(&mut self) -> Result<Cow<'a, str>, Error> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let mut owned: Option<String> = None;
         let mut run = self.pos;
         loop {
             match self.bytes.get(self.pos) {
                 Some(b'"') => {
-                    out.push_str(&self.text[run..self.pos]);
+                    let tail = &self.text[run..self.pos];
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match owned {
+                        Some(mut out) => {
+                            out.push_str(tail);
+                            Cow::Owned(out)
+                        }
+                        None => Cow::Borrowed(tail),
+                    });
                 }
                 Some(b'\\') => {
+                    let out = owned.get_or_insert_with(String::new);
                     out.push_str(&self.text[run..self.pos]);
                     self.pos += 1;
-                    let decoded = match self.bytes.get(self.pos) {
+                    out.push(match self.bytes.get(self.pos) {
                         Some(b'"') => '"',
                         Some(b'\\') => '\\',
                         Some(b'/') => '/',
@@ -386,8 +387,7 @@ impl Parser<'_> {
                         Some(b't') => '\t',
                         Some(b'u') => self.unicode_escape()?,
                         _ => return Err(Error::Syntax(self.pos)),
-                    };
-                    out.push(decoded);
+                    });
                     self.pos += 1;
                     run = self.pos;
                 }
@@ -436,7 +436,7 @@ impl Parser<'_> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Json, Error> {
+    fn number(&mut self) -> Result<Json<'a>, Error> {
         let start = self.pos;
         if self.bytes.get(self.pos) == Some(&b'-') {
             self.pos += 1;
@@ -457,7 +457,7 @@ impl Parser<'_> {
             }
             self.required_digits()?;
         }
-        Ok(Json::Number(self.text[start..self.pos].to_string()))
+        Ok(Json::Number(&self.text[start..self.pos]))
     }
 
     fn digits(&mut self) {
@@ -481,7 +481,7 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
-    fn parse(text: &str) -> Json {
+    fn parse(text: &str) -> Json<'_> {
         Json::parse(text).unwrap_or_else(|e| panic!("{text}: {e}"))
     }
 
@@ -510,7 +510,7 @@ mod tests {
     #[test]
     fn numbers_follow_the_rfc_grammar() {
         for good in ["0", "-0", "10", "0.5", "1e9", "1E+2", "-2.5e-3"] {
-            assert_eq!(parse(good), Json::Number(good.to_string()));
+            assert_eq!(parse(good), Json::Number(good));
         }
         for bad in [
             "007", "-01", "25.", ".5", "-", "1e", "1e+", "+1", "0x10", "1.e3",
@@ -533,7 +533,7 @@ mod tests {
     fn escapes_decode_including_surrogate_pairs() {
         assert_eq!(
             parse("\"\\u0041\\/\\b\\f\\ud83d\\ude00\""),
-            Json::String("A/\u{8}\u{c}😀".to_string())
+            Json::String("A/\u{8}\u{c}😀".into())
         );
         for bad in [
             "\"\\ud83d\"",
@@ -594,7 +594,7 @@ mod tests {
             assert!(escaped.starts_with('\\'), "U+{code:04X}");
             assert_eq!(
                 parse(&format!("\"{escaped}\"")),
-                Json::String(c.to_string())
+                Json::String(c.to_string().into())
             );
         }
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");

@@ -70,14 +70,14 @@ impl ArchSpec {
         let mut schema = None;
         let mut name = None;
         let mut base = None;
-        let mut overrides: Vec<(String, Json)> = Vec::new();
+        let mut overrides = Vec::new();
         for (key, value) in fields {
             if matches!(value, Json::Array(_) | Json::Object(_)) {
                 return Err(format!(
                     "nested values are not allowed in a spec document (field {key:?})"
                 ));
             }
-            match key.as_str() {
+            match key.as_ref() {
                 "schema" => schema = Some(expect_str(&key, value)?),
                 "name" => name = Some(expect_str(&key, value)?),
                 "base" => base = Some(expect_str(&key, value)?),
@@ -105,12 +105,17 @@ impl ArchSpec {
         Ok((name, spec))
     }
 
-    /// Every overridable field as `(key, value)` in declaration order.
-    fn scalar_fields(&self) -> Vec<(&'static str, Json)> {
-        let n = |v: u32| Json::Number(v.to_string());
-        // Every emitted number is finite: fields are validated on the way
-        // in and the built-ins are finite by construction.
-        let f = |v: f64| Json::Number(v.to_string());
+    /// Every overridable field as `(key, JSON value token)` in
+    /// declaration order.
+    fn scalar_fields(&self) -> Vec<(&'static str, String)> {
+        let n = |v: u32| v.to_string();
+        let f = |v: f64| {
+            // Every emitted number is finite (fields are validated on the
+            // way in and the built-ins are finite by construction).
+            debug_assert!(v.is_finite());
+            v.to_string()
+        };
+        let b = |v: bool| v.to_string();
         vec![
             ("clock_mhz", f(self.clock_mhz)),
             ("application_speedup", f(self.application_speedup)),
@@ -119,23 +124,20 @@ impl ArchSpec {
             ("misc_state_words", n(self.misc_state_words)),
             ("trap_saved_registers", n(self.trap_saved_registers)),
             ("avg_windows_on_switch", n(self.avg_windows_on_switch)),
-            ("exposed_pipelines", Json::Bool(self.exposed_pipelines)),
+            ("exposed_pipelines", b(self.exposed_pipelines)),
             ("pipeline_control_regs", n(self.pipeline_control_regs)),
-            ("fpu_freeze_on_fault", Json::Bool(self.fpu_freeze_on_fault)),
+            ("fpu_freeze_on_fault", b(self.fpu_freeze_on_fault)),
             ("fpu_pipeline_save_instrs", n(self.fpu_pipeline_save_instrs)),
             ("fpu_drain_cycles", n(self.fpu_drain_cycles)),
-            ("precise_interrupts", Json::Bool(self.precise_interrupts)),
-            ("vectored_traps", Json::Bool(self.vectored_traps)),
+            ("precise_interrupts", b(self.precise_interrupts)),
+            ("vectored_traps", b(self.vectored_traps)),
             ("trap_dispatch_instrs", n(self.trap_dispatch_instrs)),
             ("trap_entry_cycles", n(self.trap_entry_cycles)),
-            (
-                "provides_fault_address",
-                Json::Bool(self.provides_fault_address),
-            ),
+            ("provides_fault_address", b(self.provides_fault_address)),
             ("fault_decode_instrs", n(self.fault_decode_instrs)),
-            ("has_delay_slots", Json::Bool(self.has_delay_slots)),
+            ("has_delay_slots", b(self.has_delay_slots)),
             ("unfilled_slot_period", n(self.unfilled_slot_period)),
-            ("has_atomic_tas", Json::Bool(self.has_atomic_tas)),
+            ("has_atomic_tas", b(self.has_atomic_tas)),
             ("tas_cycles", n(self.tas_cycles)),
             ("alu_cycles", n(self.alu_cycles)),
             ("load_cycles", n(self.load_cycles)),
@@ -150,7 +152,7 @@ impl ArchSpec {
     }
 
     /// Apply one override onto this spec, validating type and range.
-    fn apply_override(&mut self, key: &str, value: &Json) -> Result<(), String> {
+    fn apply_override(&mut self, key: &str, value: &Json<'_>) -> Result<(), String> {
         match key {
             "clock_mhz" => self.clock_mhz = expect_pos(key, value)?,
             "application_speedup" => self.application_speedup = expect_pos(key, value)?,
@@ -189,9 +191,9 @@ impl ArchSpec {
     }
 }
 
-fn expect_str(key: &str, value: Json) -> Result<String, String> {
+fn expect_str(key: &str, value: Json<'_>) -> Result<String, String> {
     match value {
-        Json::String(s) => Ok(s),
+        Json::String(s) => Ok(s.into_owned()),
         other => Err(format!(
             "field {key:?} must be a string, not a {}",
             other.kind()
@@ -199,19 +201,19 @@ fn expect_str(key: &str, value: Json) -> Result<String, String> {
     }
 }
 
-fn expect_bool(key: &str, value: &Json) -> Result<bool, String> {
+fn expect_bool(key: &str, value: &Json<'_>) -> Result<bool, String> {
     value
         .as_bool()
         .ok_or_else(|| format!("field {key:?} must be a boolean, not a {}", value.kind()))
 }
 
-fn expect_number(key: &str, value: &Json) -> Result<f64, String> {
+fn expect_number(key: &str, value: &Json<'_>) -> Result<f64, String> {
     value
         .as_f64()
         .ok_or_else(|| format!("field {key:?} must be a number, not a {}", value.kind()))
 }
 
-fn expect_pos(key: &str, value: &Json) -> Result<f64, String> {
+fn expect_pos(key: &str, value: &Json<'_>) -> Result<f64, String> {
     match expect_number(key, value)? {
         v if v > 0.0 && v <= FIELD_CAP => Ok(v),
         v => Err(format!(
@@ -220,7 +222,7 @@ fn expect_pos(key: &str, value: &Json) -> Result<f64, String> {
     }
 }
 
-fn expect_u32(key: &str, value: &Json) -> Result<u32, String> {
+fn expect_u32(key: &str, value: &Json<'_>) -> Result<u32, String> {
     match expect_number(key, value)? {
         v if (0.0..=FIELD_CAP).contains(&v) && v.fract() == 0.0 => Ok(v as u32),
         v => Err(format!(

@@ -369,7 +369,7 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
     let get_str = |key: &str| -> Result<Option<String>, (String, String)> {
         match field(key) {
             None => Ok(None),
-            Some(Json::String(s)) => Ok(Some(s.clone())),
+            Some(Json::String(s)) => Ok(Some(s.to_string())),
             Some(other) => Err((
                 format!("field {key:?} must be a string, got {other}"),
                 id.clone(),

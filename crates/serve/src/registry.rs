@@ -180,7 +180,7 @@ impl SpecSnapshot {
 ///
 /// Returns a one-line reason when the payload does not carry an
 /// `epoch` number and a `specs` string array.
-pub fn parse_spec_fetch(payload: &Json) -> Result<(u64, Vec<String>), String> {
+pub fn parse_spec_fetch(payload: &Json<'_>) -> Result<(u64, Vec<String>), String> {
     let epoch = payload
         .get("epoch")
         .ok_or_else(|| "spec-fetch payload missing \"epoch\"".to_string())?

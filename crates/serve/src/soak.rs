@@ -896,14 +896,14 @@ fn exchange_once(addr: SocketAddr, line: &str, timeout: Duration) -> std::io::Re
     Ok(reply)
 }
 
-/// The `result` payload of a reply line, when the line parses and
-/// carries one.
-fn reply_result(reply: &str) -> Option<Json> {
-    Json::parse(reply).ok()?.get("result").cloned()
+/// Read a reply line's `result` payload with `read`, when the line
+/// parses and carries one.
+fn with_result<T>(reply: &str, read: impl FnOnce(&Json<'_>) -> Option<T>) -> Option<T> {
+    read(Json::parse(reply).ok()?.get("result")?)
 }
 
 /// The `epoch` and `digest` of an admin reply's payload.
-fn epoch_and_digest(payload: &Json) -> Option<(u64, String)> {
+fn epoch_and_digest(payload: &Json<'_>) -> Option<(u64, String)> {
     Some((
         payload.get("epoch")?.as_u64()?,
         payload.get("digest")?.as_str()?.to_string(),
@@ -1060,7 +1060,7 @@ fn spec_list(addr: SocketAddr, admin_id: &mut u64) -> Result<(u64, String), Stri
              \"id\":{admin_id}}}"
         );
         if let Ok(reply) = exchange_once(addr, &line, SWAP_IO_TIMEOUT) {
-            if let Some(found) = reply_result(&reply).as_ref().and_then(epoch_and_digest) {
+            if let Some(found) = with_result(&reply, epoch_and_digest) {
                 return Ok(found);
             }
         }
@@ -1271,8 +1271,8 @@ pub fn run_swap(config: &SwapSoakConfig) -> std::io::Result<SwapSoakReport> {
             );
             match exchange_once(addr, &line, SWAP_IO_TIMEOUT) {
                 Ok(reply)
-                    if reply_result(&reply)
-                        .is_some_and(|r| r.get("staged").and_then(Json::as_str) == Some("hot")) =>
+                    if with_result(&reply, |r| r.get("staged")?.as_str().map(|s| s == "hot"))
+                        == Some(true) =>
                 {
                     staged = true;
                     break;
@@ -1299,7 +1299,8 @@ pub fn run_swap(config: &SwapSoakConfig) -> std::io::Result<SwapSoakReport> {
             );
             match exchange_once(addr, &line, SWAP_IO_TIMEOUT) {
                 Ok(reply) => {
-                    let Some(payload) = reply_result(&reply) else {
+                    let parsed = Json::parse(&reply).ok();
+                    let Some(payload) = parsed.as_ref().and_then(|r| r.get("result")) else {
                         violations.push(format!(
                             "ADMIN: spec-activate errored: {}",
                             reply.trim_end()
@@ -1308,7 +1309,7 @@ pub fn run_swap(config: &SwapSoakConfig) -> std::io::Result<SwapSoakReport> {
                     };
                     let (Some(activated), Some((epoch, digest))) = (
                         payload.get("activated").and_then(Json::as_bool),
-                        epoch_and_digest(&payload),
+                        epoch_and_digest(payload),
                     ) else {
                         violations.push(format!(
                             "ADMIN: spec-activate reply unparsable: {}",
@@ -1391,23 +1392,21 @@ pub fn run_swap(config: &SwapSoakConfig) -> std::io::Result<SwapSoakReport> {
                 );
                 match exchange_once(addr, &line, SWAP_IO_TIMEOUT) {
                     Ok(reply) => {
-                        if let Some(payload) = reply_result(&reply) {
-                            if let Some((epoch, digest)) = epoch_and_digest(&payload) {
-                                let model_digest = model.apply_explicit_rollback(epoch);
-                                if model_digest == digest {
-                                    transcript.push(format!(
-                                        "swap {swap}+: explicit rollback to epoch {epoch} \
-                                         ({digest})"
-                                    ));
-                                } else {
-                                    violations.push(format!(
-                                        "MODEL DIVERGENCE: explicit rollback digest {digest} \
-                                         != model {model_digest}"
-                                    ));
-                                }
-                                explicit_rollbacks += 1;
-                                rolled = true;
+                        if let Some((epoch, digest)) = with_result(&reply, epoch_and_digest) {
+                            let model_digest = model.apply_explicit_rollback(epoch);
+                            if model_digest == digest {
+                                transcript.push(format!(
+                                    "swap {swap}+: explicit rollback to epoch {epoch} \
+                                     ({digest})"
+                                ));
+                            } else {
+                                violations.push(format!(
+                                    "MODEL DIVERGENCE: explicit rollback digest {digest} \
+                                     != model {model_digest}"
+                                ));
                             }
+                            explicit_rollbacks += 1;
+                            rolled = true;
                         }
                         break;
                     }
@@ -1819,8 +1818,7 @@ pub fn run_swap_cluster(config: &SwapClusterConfig) -> std::io::Result<SwapClust
                 std::thread::sleep(Duration::from_millis(10));
                 continue;
             };
-            let Some((epoch, digest)) = reply_result(&reply).as_ref().and_then(epoch_and_digest)
-            else {
+            let Some((epoch, digest)) = with_result(&reply, epoch_and_digest) else {
                 violations.push(format!(
                     "ADMIN: spec-activate errored: {}",
                     reply.trim_end()

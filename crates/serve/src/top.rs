@@ -96,7 +96,7 @@ pub fn parse_snapshot(doc: &str) -> TopSnapshot {
         return TopSnapshot::default();
     };
     let snap = root.get("result").unwrap_or(&root);
-    let num = |value: &Json, path: &str| value.at(path).and_then(Json::as_u64).unwrap_or(0);
+    let num = |value: &Json<'_>, path: &str| value.at(path).and_then(Json::as_u64).unwrap_or(0);
     let ops = snap
         .get("ops")
         .and_then(Json::as_array)

@@ -129,7 +129,7 @@ fn emit_parse_display_is_the_identity_inside_every_envelope() {
     }
 }
 
-fn depth(value: &Json) -> usize {
+fn depth(value: &Json<'_>) -> usize {
     match value {
         Json::Array(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
         Json::Object(members) => 1 + members.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
