@@ -15,8 +15,9 @@
 //! [`Json::as_u64`] / [`Json::as_f64`] convert on demand.
 //!
 //! The module lives in `osarch-cpu` because the spec codec
-//! ([`crate::ArchSpec::from_json`]) is its first consumer and every
-//! other crate already depends on this one.
+//! ([`crate::ArchSpec::from_json`]) is an inherent method here and this
+//! crate cannot depend on `osarch-core`; every crate that reads JSON
+//! already depends on this one.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};

@@ -1202,12 +1202,12 @@ mod tests {
 
     #[test]
     fn counter_extraction_reads_the_stats_shape() {
-        let payload = crate::stats::ServeStats::new().stats_payload(41, 7, 0, 1, 1, 0);
+        let payload = crate::stats::ServeStats::new().stats_payload(41, 7, 3, 1, 1, 0);
         let reply = crate::protocol::ok_envelope("1", false, 1, 9, &payload);
         let counters = stats_counters(&reply);
         assert_eq!(counters.hits, 41);
         assert_eq!(counters.misses, 7);
-        assert_eq!(counters.coalesced, 0);
+        assert_eq!(counters.coalesced, 3);
         // Not a reply at all: every counter reads as absent.
         assert_eq!(stats_counters("{\"counters\":[]}").hits, 0);
     }
