@@ -143,6 +143,10 @@ struct Line {
 /// A set-associative tag store (no data is simulated — only timing and
 /// occupancy matter for the paper's analysis).
 ///
+/// All lines live in one flat `sets × assoc` array, way `w` of set `s` at
+/// index `s * assoc + w`, so building a cache is one allocation however many
+/// sets it has.
+///
 /// # Example
 ///
 /// ```
@@ -157,7 +161,7 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Option<Line>>>,
+    lines: Vec<Option<Line>>,
     victim: Vec<usize>,
     stats: CacheStats,
 }
@@ -178,7 +182,7 @@ impl Cache {
         let sets = config.sets() as usize;
         Cache {
             config,
-            sets: vec![vec![None; config.assoc as usize]; sets],
+            lines: vec![None; sets * config.assoc as usize],
             victim: vec![0; sets],
             stats: CacheStats::default(),
         }
@@ -208,7 +212,8 @@ impl Cache {
     pub fn access(&mut self, addr: u32, asid: Asid, kind: AccessKind) -> CacheOutcome {
         let (set, tag) = self.index_and_tag(addr);
         let ctx = self.effective_asid(asid);
-        let ways = &mut self.sets[set];
+        let assoc = self.config.assoc as usize;
+        let ways = &mut self.lines[set * assoc..][..assoc];
         let hit_way = ways
             .iter()
             .position(|line| matches!(line, Some(l) if l.tag == tag && l.asid == ctx));
@@ -245,7 +250,7 @@ impl Cache {
                         Some(free) => free,
                         None => {
                             let victim = self.victim[set];
-                            self.victim[set] = (victim + 1) % self.config.assoc as usize;
+                            self.victim[set] = (victim + 1) % assoc;
                             victim
                         }
                     };
@@ -268,7 +273,8 @@ impl Cache {
     pub fn warm(&mut self, addr: u32, asid: Asid) {
         let (set, tag) = self.index_and_tag(addr);
         let ctx = self.effective_asid(asid);
-        let ways = &mut self.sets[set];
+        let assoc = self.config.assoc as usize;
+        let ways = &mut self.lines[set * assoc..][..assoc];
         if ways
             .iter()
             .any(|line| matches!(line, Some(l) if l.tag == tag && l.asid == ctx))
@@ -292,15 +298,8 @@ impl Cache {
     /// cache ("cache flushing at context switch time can be extremely
     /// expensive").
     pub fn flush_all(&mut self) -> u32 {
-        let mut flushed = 0u64;
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                if line.take().is_some() {
-                    flushed += 1;
-                }
-            }
-        }
-        self.stats.lines_flushed += flushed;
+        let flushed = self.lines.iter_mut().filter_map(Option::take).count();
+        self.stats.lines_flushed += flushed as u64;
         let cycles = self.config.lines() * self.config.flush_cycles_per_line;
         self.stats.flush_cycles += u64::from(cycles);
         cycles
@@ -321,7 +320,8 @@ impl Cache {
         let page_base = page_addr & !(crate::addr::PAGE_SIZE - 1);
         let ctx = self.effective_asid(asid);
         let mut flushed = 0u64;
-        for (set_idx, set) in self.sets.iter_mut().enumerate() {
+        let sets = self.lines.chunks_mut(self.config.assoc as usize);
+        for (set_idx, set) in sets.enumerate() {
             for line in set.iter_mut() {
                 if let Some(l) = line {
                     // Reconstruct the line's address from tag and set index.
@@ -344,11 +344,7 @@ impl Cache {
     /// Number of valid lines.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sets
-            .iter()
-            .flatten()
-            .filter(|line| line.is_some())
-            .count()
+        self.lines.iter().filter(|line| line.is_some()).count()
     }
 
     /// True when no lines are valid.

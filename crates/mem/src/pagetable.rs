@@ -198,10 +198,12 @@ pub trait PageTable: fmt::Debug {
 
 /// A VAX-style linear page table.
 ///
-/// The table is a contiguous array indexed by virtual page number. Mapping a
-/// page far beyond the current extent *grows the array*, which is exactly the
-/// sparse-address-space weakness Section 3.2 calls "problematic on a linear
-/// page table system like the VAX".
+/// The VAX table is a contiguous array indexed by virtual page number, so
+/// mapping a page far beyond the current extent grows it to span the whole
+/// range — the sparse-address-space weakness Section 3.2 calls "problematic
+/// on a linear page table system like the VAX". The model stores only the
+/// mapped slots; [`LinearPageTable::table_words`] still reports the span a
+/// VAX would allocate.
 ///
 /// On the VAX, per-process tables themselves live in system virtual memory, so
 /// a user-space walk costs two memory references; `extra_indirection` models
@@ -209,9 +211,9 @@ pub trait PageTable: fmt::Debug {
 #[derive(Debug, Clone)]
 pub struct LinearPageTable {
     base_vpn: u32,
-    entries: Vec<Option<Pte>>,
+    entries: BTreeMap<usize, Pte>,
+    span: usize,
     extra_indirection: bool,
-    mapped: usize,
 }
 
 impl LinearPageTable {
@@ -221,17 +223,17 @@ impl LinearPageTable {
     pub fn new(base_vpn: u32, extra_indirection: bool) -> LinearPageTable {
         LinearPageTable {
             base_vpn,
-            entries: Vec::new(),
+            entries: BTreeMap::new(),
+            span: 0,
             extra_indirection,
-            mapped: 0,
         }
     }
 
-    /// Words of table storage currently allocated (one word per slot) — the
-    /// space cost of sparsity.
+    /// Words of table storage a VAX would have allocated (one word per slot
+    /// up to the highest slot ever mapped) — the space cost of sparsity.
     #[must_use]
     pub fn table_words(&self) -> usize {
-        self.entries.len()
+        self.span
     }
 
     fn slot(&self, va: VirtAddr) -> Option<usize> {
@@ -246,46 +248,32 @@ impl LinearPageTable {
 impl PageTable for LinearPageTable {
     fn translate(&self, va: VirtAddr) -> Option<Pte> {
         let idx = self.slot(va)?;
-        self.entries
-            .get(idx)
-            .copied()
-            .flatten()
-            .filter(|pte| pte.valid)
+        self.entries.get(&idx).copied().filter(|pte| pte.valid)
     }
 
     fn map(&mut self, va: VirtAddr, pte: Pte) {
-        let idx = match self.slot(va) {
-            Some(idx) => idx,
-            None => return,
+        let Some(idx) = self.slot(va) else {
+            return;
         };
-        if idx >= self.entries.len() {
-            self.entries.resize(idx + 1, None);
-        }
-        if self.entries[idx].is_none() {
-            self.mapped += 1;
-        }
-        self.entries[idx] = Some(pte);
+        self.span = self.span.max(idx + 1);
+        self.entries.insert(idx, pte);
     }
 
     fn unmap(&mut self, va: VirtAddr) -> Option<Pte> {
         let idx = self.slot(va)?;
-        let old = self.entries.get_mut(idx)?.take();
-        if old.is_some() {
-            self.mapped -= 1;
-        }
-        old
+        self.entries.remove(&idx)
     }
 
     fn protect(&mut self, va: VirtAddr, prot: Protection) -> bool {
         let Some(idx) = self.slot(va) else {
             return false;
         };
-        match self.entries.get_mut(idx) {
-            Some(Some(pte)) => {
+        match self.entries.get_mut(&idx) {
+            Some(pte) => {
                 *pte = pte.with_prot(prot);
                 true
             }
-            _ => false,
+            None => false,
         }
     }
 
@@ -298,7 +286,7 @@ impl PageTable for LinearPageTable {
     }
 
     fn mapped_pages(&self) -> usize {
-        self.mapped
+        self.entries.len()
     }
 
     fn kind(&self) -> PageTableKind {
@@ -625,6 +613,16 @@ mod tests {
             table.table_words() > small * 100,
             "sparse mapping must balloon a linear table"
         );
+    }
+
+    #[test]
+    fn linear_table_words_report_the_vax_span() {
+        let mut table = LinearPageTable::new(0, false);
+        table.map(VirtAddr(0x8000_2000), pte(1));
+        assert_eq!(table.table_words(), 0x80003);
+        assert_eq!(table.mapped_pages(), 1);
+        table.unmap(VirtAddr(0x8000_2000));
+        assert_eq!(table.table_words(), 0x80003, "a VAX table never shrinks");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Property-based tests for the memory-hierarchy substrate.
 
 use osarch_mem::{
-    AccessKind, Asid, Cache, CacheConfig, LinearPageTable, MultiLevelPageTable, PageTable,
-    Protection, Pte, SoftwarePageTable, Tlb, TlbConfig, TlbEntry, VirtAddr, WriteBuffer,
-    WriteBufferConfig, WritePolicy,
+    AccessKind, Addressing, Asid, Cache, CacheConfig, CacheOutcome, CacheStats, LinearPageTable,
+    MultiLevelPageTable, PageTable, Protection, Pte, SoftwarePageTable, Tlb, TlbConfig, TlbEntry,
+    VirtAddr, WriteBuffer, WriteBufferConfig, WritePolicy, PAGE_SIZE,
 };
 use proptest::prelude::*;
 
@@ -15,6 +15,246 @@ fn arb_prot() -> impl Strategy<Value = Protection> {
         Just(Protection::RX),
         Just(Protection::RWX),
     ]
+}
+
+/// A model cache line: `(tag, asid, dirty)`.
+type ModelLine = (u32, Option<Asid>, bool);
+
+/// A reference cache that keeps one `Vec` of ways per set — the layout
+/// `Cache` used before its lines moved into one flat array.
+struct ModelCache {
+    config: CacheConfig,
+    sets: Vec<Vec<Option<ModelLine>>>,
+    victim: Vec<usize>,
+    stats: CacheStats,
+}
+
+impl ModelCache {
+    fn new(config: CacheConfig) -> ModelCache {
+        let sets = config.sets() as usize;
+        ModelCache {
+            config,
+            sets: vec![vec![None; config.assoc as usize]; sets],
+            victim: vec![0; sets],
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn index_and_tag(&self, addr: u32, asid: Asid) -> (usize, u32, Option<Asid>) {
+        let line_addr = addr / self.config.line_bytes;
+        let ctx =
+            (self.config.addressing == Addressing::Virtual && self.config.tagged).then_some(asid);
+        (
+            (line_addr % self.config.sets()) as usize,
+            line_addr / self.config.sets(),
+            ctx,
+        )
+    }
+
+    fn access(&mut self, addr: u32, asid: Asid, kind: AccessKind) -> CacheOutcome {
+        let (set, tag, ctx) = self.index_and_tag(addr, asid);
+        let write = kind == AccessKind::Write;
+        let back = self.config.write_policy == WritePolicy::Back;
+        let ways = &mut self.sets[set];
+        if let Some(way) = ways
+            .iter()
+            .position(|l| matches!(l, Some((t, a, _)) if *t == tag && *a == ctx))
+        {
+            if write {
+                self.stats.write_hits += 1;
+                if back {
+                    ways[way] = ways[way].map(|(t, a, _)| (t, a, true));
+                }
+            } else {
+                self.stats.read_hits += 1;
+            }
+            return CacheOutcome {
+                hit: true,
+                extra_cycles: 0,
+            };
+        }
+        let extra_cycles = if write {
+            self.stats.write_misses += 1;
+            self.config.write_miss_penalty
+        } else {
+            self.stats.read_misses += 1;
+            self.config.read_miss_penalty
+        };
+        if !write || back {
+            let way = ways.iter().position(Option::is_none).unwrap_or_else(|| {
+                let victim = self.victim[set];
+                self.victim[set] = (victim + 1) % self.config.assoc as usize;
+                victim
+            });
+            ways[way] = Some((tag, ctx, write));
+        }
+        CacheOutcome {
+            hit: false,
+            extra_cycles,
+        }
+    }
+
+    fn warm(&mut self, addr: u32, asid: Asid) {
+        let (set, tag, ctx) = self.index_and_tag(addr, asid);
+        let ways = &mut self.sets[set];
+        if ways
+            .iter()
+            .any(|l| matches!(l, Some((t, a, _)) if *t == tag && *a == ctx))
+        {
+            return;
+        }
+        let way = ways.iter().position(Option::is_none).unwrap_or(0);
+        ways[way] = Some((tag, ctx, false));
+    }
+
+    fn flush_all(&mut self) -> u32 {
+        for line in self.sets.iter_mut().flatten() {
+            if line.take().is_some() {
+                self.stats.lines_flushed += 1;
+            }
+        }
+        let cycles = self.config.lines() * self.config.flush_cycles_per_line;
+        self.stats.flush_cycles += u64::from(cycles);
+        cycles
+    }
+
+    fn flush_page(&mut self, page_addr: u32, asid: Asid) -> (u32, u32) {
+        if self.config.addressing == Addressing::Physical {
+            return (0, 0);
+        }
+        let (_, _, ctx) = self.index_and_tag(page_addr, asid);
+        let page_base = page_addr & !(PAGE_SIZE - 1);
+        let sets = self.config.sets();
+        for (set_idx, set) in self.sets.iter_mut().enumerate() {
+            for line in set.iter_mut() {
+                if let Some((tag, a, _)) = *line {
+                    let line_addr = (tag * sets + set_idx as u32) * self.config.line_bytes;
+                    if line_addr & !(PAGE_SIZE - 1) == page_base && a == ctx {
+                        *line = None;
+                        self.stats.lines_flushed += 1;
+                    }
+                }
+            }
+        }
+        let examined = self.config.lines();
+        let cycles = examined * self.config.flush_cycles_per_line;
+        self.stats.flush_cycles += u64::from(cycles);
+        (examined, cycles)
+    }
+
+    fn len(&self) -> usize {
+        self.sets.iter().flatten().filter(|l| l.is_some()).count()
+    }
+}
+
+/// A cache geometry and policy: size, associativity, addressing, tagging,
+/// write policy and the three cycle charges.
+fn arb_cache_config() -> impl Strategy<Value = CacheConfig> {
+    (
+        prop_oneof![Just(16u32), Just(48), Just(64), Just(1024), Just(4096)],
+        prop_oneof![Just(1u32), Just(2), Just(4)],
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+        (1u32..20, 0u32..5, 1u32..3),
+    )
+        .prop_map(
+            |(size_bytes, assoc, virt, tagged, back, (read_miss, write_miss, flush))| CacheConfig {
+                size_bytes,
+                line_bytes: 16,
+                assoc,
+                addressing: if virt {
+                    Addressing::Virtual
+                } else {
+                    Addressing::Physical
+                },
+                write_policy: if back {
+                    WritePolicy::Back
+                } else {
+                    WritePolicy::Through
+                },
+                read_miss_penalty: read_miss,
+                write_miss_penalty: write_miss,
+                tagged,
+                flush_cycles_per_line: flush,
+            },
+        )
+}
+
+/// One cache operation: a selector (mostly accesses, some warms, few
+/// flushes), an address over four pages, an ASID and an access kind.
+fn arb_cache_ops() -> impl Strategy<Value = Vec<(u32, u32, u16, u8)>> {
+    proptest::collection::vec((0u32..42, 0u32..4 * PAGE_SIZE, 0u16..3, 0u8..3), 1..300)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The flat cache and the per-set reference model agree on every
+    /// outcome, on occupancy and on every counter, over random access,
+    /// warm and flush sequences.
+    #[test]
+    fn flat_cache_matches_per_set_model(config in arb_cache_config(), ops in arb_cache_ops()) {
+        let mut cache = Cache::new(config);
+        let mut model = ModelCache::new(config);
+        for (step, &(op, addr, asid, kind)) in ops.iter().enumerate() {
+            let asid = Asid(asid);
+            match op {
+                0..=29 => {
+                    let kind = [AccessKind::Read, AccessKind::Write, AccessKind::Execute][kind as usize];
+                    prop_assert_eq!(cache.access(addr, asid, kind), model.access(addr, asid, kind), "step {}", step);
+                }
+                30..=35 => {
+                    cache.warm(addr, asid);
+                    model.warm(addr, asid);
+                }
+                36..=40 => prop_assert_eq!(cache.flush_page(addr, asid), model.flush_page(addr, asid), "step {}", step),
+                _ => prop_assert_eq!(cache.flush_all(), model.flush_all(), "step {}", step),
+            }
+            prop_assert_eq!(cache.len(), model.len(), "step {}", step);
+            prop_assert_eq!(cache.stats(), model.stats, "step {}", step);
+        }
+    }
+
+    /// A sparse linear table agrees with the software table under random
+    /// map/unmap/protect sequences, and its `table_words` is the span a VAX
+    /// would allocate: the highest slot ever mapped, plus one.
+    #[test]
+    fn sparse_linear_table_matches_software_table(ops in proptest::collection::vec(
+        (
+            0u8..3,
+            prop_oneof![0u32..64, 0x7_fff0u32..0x8_0010, 0xf_fff0u32..0x10_0000],
+            0u32..1000,
+            arb_prot(),
+            0u8..8,
+        ),
+        1..200,
+    )) {
+        let mut linear = LinearPageTable::new(0, true);
+        let mut software = SoftwarePageTable::new();
+        let mut highest: Option<u32> = None;
+        for &(op, vpn, pfn, prot, valid) in &ops {
+            let va = VirtAddr(vpn << 12);
+            match op {
+                0 => {
+                    let pte = Pte { valid: valid != 0, ..Pte::new(pfn, prot) };
+                    linear.map(va, pte);
+                    software.map(va, pte);
+                    highest = highest.max(Some(vpn));
+                }
+                1 => prop_assert_eq!(linear.unmap(va), software.unmap(va)),
+                _ => prop_assert_eq!(linear.protect(va, prot), software.protect(va, prot)),
+            }
+            prop_assert_eq!(linear.mapped_pages(), software.mapped_pages());
+            prop_assert_eq!(linear.table_words(), highest.map_or(0, |v| v as usize + 1));
+        }
+        for &(_, vpn, ..) in &ops {
+            for va in [VirtAddr(vpn << 12), VirtAddr((vpn << 12) | 0xfff)] {
+                prop_assert_eq!(linear.translate(va), software.translate(va));
+                prop_assert_eq!(linear.walk_mem_refs(va), 2);
+            }
+        }
+    }
 }
 
 proptest! {

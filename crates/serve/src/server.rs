@@ -660,6 +660,9 @@ impl Server {
         let mut threads = Vec::with_capacity(workers + compute_threads + 2);
         for (index, wake_rx) in wake_rxs.into_iter().enumerate() {
             let shared = Arc::clone(&shared);
+            // Count the loop live before its thread exists, so a `health`
+            // probe sent right after `start` returns sees every loop.
+            shared.stats.worker_started();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("serve-loop-{index}"))
@@ -1338,10 +1341,10 @@ fn gossip_loop(shared: &Shared) {
 
 /// One event-loop thread: serve until shutdown, reincarnating after any
 /// escape of the per-request panic isolation (including injected worker
-/// deaths). The liveness gauge brackets the whole tenure, so `health`
-/// sees a respawning loop as continuously live.
+/// deaths). The liveness gauge is raised by `Server::start` before the
+/// thread spawns and lowered here on exit, so `health` sees a respawning
+/// loop as continuously live.
 fn loop_main(shared: &Shared, index: usize, wake_rx: &WakeRx) {
-    shared.stats.worker_started();
     // Trace state lives outside the respawn loop: a reincarnated loop
     // continues its id stream instead of reissuing ids from the start.
     let mut ltrace = LoopTrace {

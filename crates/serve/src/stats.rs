@@ -159,7 +159,7 @@ impl ServeStats {
         self.conns_opened.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A worker thread entered its serving loop.
+    /// An event loop was started (counted before its thread spawns).
     pub fn worker_started(&self) {
         self.workers_live.fetch_add(1, Ordering::SeqCst);
     }
